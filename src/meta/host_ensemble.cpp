@@ -33,10 +33,9 @@ class HostEnsembleEngine final : public Engine {
     // Resolve the initial temperature once so every chain shares the
     // ladder (and the Salamon sampling is not repeated per chain).
     SaParams chain = params_.chain;
-    if (chain.initial_temperature <= 0.0) {
-      chain.initial_temperature =
-          InitialTemperature(objective_, chain.temp_samples, chain.seed);
-    }
+    chain.initial_temperature =
+        ResolveInitialTemperature(chain.initial_temperature, objective_,
+                                  chain.temp_samples, chain.seed);
     // Chains run concurrently, so they must not share one lent pool; each
     // allocates its private single row (results are placement-invariant).
     chain.pool = nullptr;

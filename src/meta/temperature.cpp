@@ -54,4 +54,12 @@ double InitialTemperature(const SequenceObjective& objective,
   return std::max(1.0, std::sqrt(variance));
 }
 
+double ResolveInitialTemperature(double given,
+                                 const SequenceObjective& objective,
+                                 std::uint64_t samples, std::uint64_t seed,
+                                 double scale) {
+  return given > 0.0 ? given
+                     : scale * InitialTemperature(objective, samples, seed);
+}
+
 }  // namespace cdd::meta

@@ -21,4 +21,13 @@ double InitialTemperature(const SequenceObjective& objective,
                           std::uint64_t samples = 5000,
                           std::uint64_t seed = 0x5eed);
 
+/// The starting temperature (or threshold) of the SA-family engines:
+/// \p given when positive, otherwise \p scale times the Salamon estimate
+/// InitialTemperature(objective, samples, seed).  TA starts from half the
+/// estimate (scale 0.5); every SA variant uses it as is.
+double ResolveInitialTemperature(double given,
+                                 const SequenceObjective& objective,
+                                 std::uint64_t samples, std::uint64_t seed,
+                                 double scale = 1.0);
+
 }  // namespace cdd::meta
