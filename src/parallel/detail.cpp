@@ -230,6 +230,37 @@ void LaunchReduction(sim::Device& device, const LaunchConfig& config,
       });
 }
 
+void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
+                        const JobId* curr, JobId* cand, std::int32_t n,
+                        std::uint64_t seed, std::uint64_t g, std::uint32_t pert,
+                        meta::NeighborhoodMode neighborhood,
+                        std::uint32_t shuffle_period, const char* kernel_name) {
+  const std::uint32_t ensemble = config.ensemble();
+  const bool shuffle_now =
+      neighborhood == meta::NeighborhoodMode::kShuffleEveryIteration ||
+      (g - 1) % std::max(shuffle_period, 1u) == 0;
+  sim::LaunchOptions opts;
+  opts.name = kernel_name;
+  device.Launch(config.grid(), config.block(), opts, [=](sim::ThreadCtx& t) {
+    const std::uint64_t tid = t.global_thread();
+    if (tid >= ensemble) return;
+    const JobId* src = curr + tid * n;
+    JobId* dst = cand + tid * n;
+    for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
+    rng::Philox4x32 rng = raw::MakeStream(seed, g, raw::RngPhase::kPerturb,
+                                          static_cast<std::uint32_t>(tid));
+    if (shuffle_now) {
+      std::uint32_t positions[kMaxPert];
+      JobId values[kMaxPert];
+      raw::PerturbRaw(dst, n, pert, rng, positions, values);
+      t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
+    } else {
+      raw::SwapRaw(dst, n, rng);
+      t.charge(static_cast<std::uint64_t>(n) + 2);
+    }
+  });
+}
+
 Sequence DownloadRow(const sim::DeviceBuffer<JobId>& seqs, std::int32_t n,
                      std::uint32_t thread) {
   Sequence row(static_cast<std::size_t>(n));

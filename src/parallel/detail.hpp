@@ -10,6 +10,7 @@
 #include "core/sequence.hpp"
 #include "cudasim/device.hpp"
 #include "cudasim/memory.hpp"
+#include "meta/sa.hpp"  // NeighborhoodMode
 #include "parallel/device_problem.hpp"
 #include "parallel/launch_config.hpp"
 
@@ -67,6 +68,22 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
                    const LaunchConfig& config, const CandidatePoolView& pool,
                    const char* kernel_name,
                    PenaltyMemory memory = PenaltyMemory::kShared);
+
+/// Largest perturbation size the perturbation kernel's per-thread scratch
+/// holds.
+inline constexpr std::uint32_t kMaxPert = 32;
+
+/// Launches the SA perturbation kernel of Section VI-B, shared by the
+/// asynchronous and the synchronous SA: thread t copies row t of \p curr
+/// into \p cand and perturbs it from its (seed, g, kPerturb, t) Philox
+/// stream — the Pert-sized partial Fisher-Yates shuffle on shuffle
+/// generations (every generation under kShuffleEveryIteration, else every
+/// \p shuffle_period-th; \p g is 1-based), a cheap swap otherwise.
+void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
+                        const JobId* curr, JobId* cand, std::int32_t n,
+                        std::uint64_t seed, std::uint64_t g, std::uint32_t pert,
+                        meta::NeighborhoodMode neighborhood,
+                        std::uint32_t shuffle_period, const char* kernel_name);
 
 /// How the best-of-ensemble reduction is implemented.
 /// kAtomic is the paper's choice: "an atomic minimization function ...

@@ -1,389 +1,169 @@
 #include "parallel/parallel_dpso.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <optional>
-#include <stdexcept>
-#include <utility>
 
-#include "cudasim/atomics.hpp"
-#include "core/vshape.hpp"
 #include "cudasim/memory.hpp"
 #include "parallel/detail.hpp"
-#include "parallel/device_problem.hpp"
+#include "parallel/device_engine.hpp"
 #include "parallel/kernels_raw.hpp"
-#include "trace/tracer.hpp"
 
 namespace cdd::par {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/// Host snapshot of the swarm at a generation boundary.  child/used are
-/// per-thread crossover scratch (rewritten before read) and are skipped;
-/// per-generation Philox streams are stateless in (seed, generation).
-struct ParallelDpsoCheckpoint final : meta::EngineCheckpoint {
-  std::vector<JobId> pos;
-  std::vector<JobId> pbest;
-  std::vector<JobId> gbest;
-  std::vector<Cost> pos_cost;
-  std::vector<Cost> pbest_cost;
-  std::int64_t packed_best = 0;
-  std::uint64_t next_generation = 1;
-  GpuRunResult result;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;
-  double consumed_device = 0.0;
-};
-
-void ValidateConfig(sim::Device& device, const ParallelDpsoParams& params) {
-  params.config.Validate(device);
-  if (params.config.ensemble() > (1u << raw::kThreadBits)) {
-    throw std::invalid_argument(
-        "RunParallelDpso: ensemble exceeds packed-key thread capacity");
-  }
-}
-
-/// Swarm state: positions, particle bests, swarm best, plus per-thread
-/// "local memory" scratch for the crossovers.
-struct DpsoDeviceState {
-  DeviceProblem problem;
-  sim::DeviceBuffer<JobId> pos;
-  sim::DeviceBuffer<JobId> pbest;
-  sim::DeviceBuffer<JobId> child;
-  sim::DeviceBuffer<std::uint8_t> used;
-  sim::DeviceBuffer<JobId> gbest;
-  sim::DeviceBuffer<Cost> pos_cost;
-  sim::DeviceBuffer<Cost> pbest_cost;
-  sim::DeviceBuffer<std::int64_t> packed_best;
-
-  DpsoDeviceState(sim::Device& device, const Instance& instance,
-                  std::uint32_t ensemble)
-      : problem(device, instance),
-        pos(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        pbest(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        child(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        used(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        gbest(device, static_cast<std::size_t>(problem.n())),
-        pos_cost(device, ensemble),
-        pbest_cost(device, ensemble),
-        packed_best(device, 1) {}
-};
-
-class ParallelDpsoEngine final : public meta::Engine {
+/// The parallel DPSO on the device-engine skeleton.  Step units are
+/// generations (unit u runs generation u + 1).  The resumable state is the
+/// positions, particle bests and swarm best; child/used are per-thread
+/// crossover scratch ("local memory", rewritten before read).
+class ParallelDpsoEngine final : public detail::DeviceEngine {
  public:
   ParallelDpsoEngine(sim::Device& device, const Instance& instance,
                      const ParallelDpsoParams& params)
-      : device_(device),
+      : DeviceEngine(device, instance, params.config,
+                     {"RunParallelDpso", "par.dpso", params.generations,
+                      params.stop, params.trajectory_stride,
+                      "pdpso.best_cost"}),
         params_(params),
-        clock_at_start_(device.sim_time_s()) {
+        pos_(device, cells()),
+        pbest_(device, cells()),
+        child_(device, cells()),
+        used_(device, cells()),
+        gbest_(device, static_cast<std::size_t>(n())),
+        pos_cost_(device, ensemble()),
+        pbest_cost_(device, ensemble()) {
     const auto t_start = Clock::now();
-    ValidateConfig(device_, params_);
-    const std::uint32_t ensemble = params_.config.ensemble();
-
-    state_ = std::make_unique<DpsoDeviceState>(device_, instance, ensemble);
-    if (state_->problem.cost_upper_bound() >= raw::kMaxPackableCost) {
-      throw std::invalid_argument(
-          "RunParallelDpso: instance costs exceed the packed key range");
-    }
-    const std::int32_t n = state_->problem.n();
-    state_->packed_best.Fill(
-        raw::PackCostThread(state_->problem.cost_upper_bound(), 0));
-
-    {
-      Sequence vseed;
-      if (params_.vshape_init) vseed = VShapeSeed(instance);
-      const std::vector<JobId> init = detail::MakeInitialSequences(
-          ensemble, n, params_.seed, params_.vshape_init ? &vseed : nullptr);
-      state_->pos.CopyFromHost(init);
-      state_->pbest.CopyFromHost(init);
-    }
-
-    Cost* d_pos_cost = state_->pos_cost.data();
-    Cost* d_pbest_cost = state_->pbest_cost.data();
-
-    // Positions as a device-side candidate pool (dense rows, stride == n).
-    const CandidatePoolView pos_pool =
-        detail::DeviceView(state_->pos.data(), d_pos_cost, n, ensemble);
+    Upload(instance);
+    SeedEnsemble(instance, params_.seed, params_.vshape_init,
+                 {&pos_, &pbest_});
+    KeepAcrossCheckpoints(
+        {{&pos_, &pbest_, &gbest_}, {&pos_cost_, &pbest_cost_}});
+    SetBestRows(&pbest_);
 
     // Initial fitness, particle bests and swarm best.
-    detail::LaunchFitness(device_, state_->problem, params_.config,
-                          pos_pool, "dpso_fitness");
-    result_.evaluations += ensemble;
-    {
-      sim::LaunchOptions opts;
-      opts.name = "dpso_pbest_update";
-      device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                     [=](sim::ThreadCtx& t) {
-                       const std::uint64_t tid = t.global_thread();
-                       if (tid >= ensemble) return;
-                       d_pbest_cost[tid] = d_pos_cost[tid];
-                       t.charge(1);
-                     });
-    }
-    detail::LaunchReduction(device_, params_.config, d_pbest_cost,
-                            state_->packed_best.data(), "dpso_reduction");
-    PublishGbest();
-    device_.Synchronize();
-
-    if (params_.generations == 0) status_ = meta::StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
+    Fitness(pos_.data(), pos_cost_.data(), "dpso_fitness");
+    const std::uint32_t ensemble = this->ensemble();
+    Cost* d_pos_cost = pos_cost_.data();
+    Cost* d_pbest_cost = pbest_cost_.data();
+    Launch("dpso_pbest_update", [=](sim::ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      if (tid >= ensemble) return;
+      d_pbest_cost[tid] = d_pos_cost[tid];
+      t.charge(1);
+    });
+    PublishSwarmBest();
+    InitDone(t_start);
   }
 
-  meta::StepStatus Step(std::uint64_t units) override {
-    if (status_ != meta::StepStatus::kRunning || units == 0) return status_;
-    finish_cache_.reset();
-    CDD_TRACE_SPAN("par.dpso");
-    const auto t_start = Clock::now();
-    const std::uint32_t ensemble = params_.config.ensemble();
-    const std::int32_t n = state_->problem.n();
+ private:
+  void RunUnit(std::uint64_t unit) override {
+    const std::uint64_t g = unit + 1;
+    const std::uint32_t ensemble = this->ensemble();
+    const std::int32_t n = this->n();
     const std::uint64_t seed = params_.seed;
     const double w = params_.w;
     const double c1 = params_.c1;
     const double c2 = params_.c2;
-    JobId* d_pos = state_->pos.data();
-    JobId* d_pbest = state_->pbest.data();
-    JobId* d_child = state_->child.data();
-    std::uint8_t* d_used = state_->used.data();
-    JobId* d_gbest = state_->gbest.data();
-    Cost* d_pos_cost = state_->pos_cost.data();
-    Cost* d_pbest_cost = state_->pbest_cost.data();
-    const CandidatePoolView pos_pool =
-        detail::DeviceView(d_pos, d_pos_cost, n, ensemble);
+    JobId* d_pos = pos_.data();
+    JobId* d_pbest = pbest_.data();
+    JobId* d_child = child_.data();
+    std::uint8_t* d_used = used_.data();
+    JobId* d_gbest = gbest_.data();
+    Cost* d_pos_cost = pos_cost_.data();
+    Cost* d_pbest_cost = pbest_cost_.data();
 
-    const std::uint64_t last =
-        g_ - 1 +
-        std::min<std::uint64_t>(units, params_.generations - (g_ - 1));
-    for (; g_ <= last; ++g_) {
-      const std::uint64_t g = g_;
-      if (params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = meta::StepStatus::kStopped;
-        break;
+    // --- position update: Eq. (3) ----------------------------------------
+    Launch("dpso_update", [=](sim::ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      if (tid >= ensemble) return;
+      JobId* mine = d_pos + tid * n;
+      JobId* scratch = d_child + tid * n;
+      std::uint8_t* marks = d_used + tid * n;
+      rng::Philox4x32 rng =
+          raw::MakeStream(seed, g, raw::RngPhase::kDpsoUpdate,
+                          static_cast<std::uint32_t>(tid));
+      // w (+) F1: swap velocity.
+      if (rng.NextUniform() < w) {
+        raw::SwapRaw(mine, n, rng);
+        t.charge(2);
       }
-      // --- position update: Eq. (3) --------------------------------------
-      {
-        sim::LaunchOptions opts;
-        opts.name = "dpso_update";
-        device_.Launch(
-            params_.config.grid(), params_.config.block(), opts,
-            [=](sim::ThreadCtx& t) {
-              const std::uint64_t tid = t.global_thread();
-              if (tid >= ensemble) return;
-              JobId* mine = d_pos + tid * n;
-              JobId* scratch = d_child + tid * n;
-              std::uint8_t* marks = d_used + tid * n;
-              rng::Philox4x32 rng =
-                  raw::MakeStream(seed, g, raw::RngPhase::kDpsoUpdate,
-                                  static_cast<std::uint32_t>(tid));
-              // w (+) F1: swap velocity.
-              if (rng.NextUniform() < w) {
-                raw::SwapRaw(mine, n, rng);
-                t.charge(2);
-              }
-              // c1 (+) F2: one-point crossover with the particle best.
-              if (rng.NextUniform() < c1) {
-                const std::uint32_t cut = cdd::UniformBelow(
-                    rng, static_cast<std::uint32_t>(n) + 1);
-                raw::OnePointCrossoverRaw(n, mine, d_pbest + tid * n, cut,
-                                          scratch, marks);
-                for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
-                t.charge(3 * static_cast<std::uint64_t>(n));
-              }
-              // c2 (+) F3: two-point crossover with the swarm best.
-              if (rng.NextUniform() < c2) {
-                std::uint32_t a = cdd::UniformBelow(
-                    rng, static_cast<std::uint32_t>(n) + 1);
-                std::uint32_t b = cdd::UniformBelow(
-                    rng, static_cast<std::uint32_t>(n) + 1);
-                if (a > b) {
-                  const std::uint32_t tmp = a;
-                  a = b;
-                  b = tmp;
-                }
-                raw::TwoPointCrossoverRaw(n, mine, d_gbest, a, b, scratch,
-                                          marks);
-                for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
-                t.charge(3 * static_cast<std::uint64_t>(n));
-              }
-              t.charge(4);
-            });
+      // c1 (+) F2: one-point crossover with the particle best.
+      if (rng.NextUniform() < c1) {
+        const std::uint32_t cut =
+            cdd::UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
+        raw::OnePointCrossoverRaw(n, mine, d_pbest + tid * n, cut, scratch,
+                                  marks);
+        for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
+        t.charge(3 * static_cast<std::uint64_t>(n));
       }
-
-      // --- fitness --------------------------------------------------------
-      detail::LaunchFitness(device_, state_->problem, params_.config,
-                            pos_pool, "dpso_fitness");
-      result_.evaluations += ensemble;
-
-      // --- particle bests -------------------------------------------------
-      {
-        sim::LaunchOptions opts;
-        opts.name = "dpso_pbest_update";
-        device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                      [=](sim::ThreadCtx& t) {
-                        const std::uint64_t tid = t.global_thread();
-                        if (tid >= ensemble) return;
-                        if (d_pos_cost[tid] < d_pbest_cost[tid]) {
-                          d_pbest_cost[tid] = d_pos_cost[tid];
-                          const JobId* src = d_pos + tid * n;
-                          JobId* dst = d_pbest + tid * n;
-                          for (std::int32_t i = 0; i < n; ++i) {
-                            dst[i] = src[i];
-                          }
-                          t.charge(static_cast<std::uint64_t>(n));
-                        }
-                        t.charge(2);
-                      });
+      // c2 (+) F3: two-point crossover with the swarm best.
+      if (rng.NextUniform() < c2) {
+        std::uint32_t a =
+            cdd::UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
+        std::uint32_t b =
+            cdd::UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
+        if (a > b) {
+          const std::uint32_t tmp = a;
+          a = b;
+          b = tmp;
+        }
+        raw::TwoPointCrossoverRaw(n, mine, d_gbest, a, b, scratch, marks);
+        for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
+        t.charge(3 * static_cast<std::uint64_t>(n));
       }
+      t.charge(4);
+    });
 
-      // --- swarm best (reduction + publish) -------------------------------
-      detail::LaunchReduction(device_, params_.config, d_pbest_cost,
-                              state_->packed_best.data(), "dpso_reduction");
-      PublishGbest();
-      device_.Synchronize();
+    // --- fitness ----------------------------------------------------------
+    Fitness(d_pos, d_pos_cost, "dpso_fitness");
 
-      if (params_.trajectory_stride > 0 &&
-          (g - 1) % params_.trajectory_stride == 0) {
-        std::int64_t packed = 0;
-        state_->packed_best.CopyToHost(std::span<std::int64_t>(&packed, 1));
-        result_.trajectory.push_back(raw::UnpackCost(packed));
-        CDD_TRACE_COUNTER("pdpso.best_cost", result_.trajectory.back());
+    // --- particle bests ---------------------------------------------------
+    Launch("dpso_pbest_update", [=](sim::ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      if (tid >= ensemble) return;
+      if (d_pos_cost[tid] < d_pbest_cost[tid]) {
+        d_pbest_cost[tid] = d_pos_cost[tid];
+        const JobId* src = d_pos + tid * n;
+        JobId* dst = d_pbest + tid * n;
+        for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
+        t.charge(static_cast<std::uint64_t>(n));
       }
-    }
-    if (status_ == meta::StepStatus::kRunning &&
-        g_ > params_.generations) {
-      status_ = meta::StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+      t.charge(2);
+    });
+    PublishSwarmBest();
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == meta::StepStatus::kRunning
-               ? params_.generations - (g_ - 1)
-               : 0;
+  /// Reduces the particle bests into the packed key, copies the winning
+  /// particle best into gbest, and fences.
+  void PublishSwarmBest() {
+    const std::uint32_t ensemble = this->ensemble();
+    const std::int32_t n = this->n();
+    JobId* d_pbest = pbest_.data();
+    JobId* d_gbest = gbest_.data();
+    Cost* d_pbest_cost = pbest_cost_.data();
+    std::int64_t* d_packed = packed_best_->data();
+    detail::LaunchReduction(device_, config_, d_pbest_cost, d_packed,
+                            "dpso_reduction");
+    Launch("dpso_gbest_publish", [=](sim::ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      if (tid >= ensemble) return;
+      // Exactly one thread matches the packed key's id.
+      const std::int64_t packed = *d_packed;
+      if (raw::UnpackThread(packed) != tid) return;
+      if (d_pbest_cost[tid] != raw::UnpackCost(packed)) return;
+      const JobId* src = d_pbest + tid * n;
+      for (std::int32_t i = 0; i < n; ++i) d_gbest[i] = src[i];
+      t.charge(static_cast<std::uint64_t>(n));
+    });
+    device_.Synchronize();
   }
 
-  Cost BestCost() const override {
-    return raw::UnpackCost(*state_->packed_best.data());
-  }
-
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<ParallelDpsoCheckpoint>();
-    CopyOut(state_->pos, cp->pos);
-    CopyOut(state_->pbest, cp->pbest);
-    CopyOut(state_->gbest, cp->gbest);
-    CopyOut(state_->pos_cost, cp->pos_cost);
-    CopyOut(state_->pbest_cost, cp->pbest_cost);
-    cp->packed_best = *state_->packed_best.data();
-    cp->next_generation = g_;
-    cp->result = result_;
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    cp->consumed_device = device_.sim_time_s() - clock_at_start_;
-    return cp;
-  }
-
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    const auto* cp =
-        dynamic_cast<const ParallelDpsoCheckpoint*>(&checkpoint);
-    if (cp == nullptr || cp->pos.size() != state_->pos.size()) {
-      throw std::invalid_argument("ParallelDpsoEngine: foreign checkpoint");
-    }
-    CopyIn(cp->pos, state_->pos);
-    CopyIn(cp->pbest, state_->pbest);
-    CopyIn(cp->gbest, state_->gbest);
-    CopyIn(cp->pos_cost, state_->pos_cost);
-    CopyIn(cp->pbest_cost, state_->pbest_cost);
-    *state_->packed_best.data() = cp->packed_best;
-    g_ = cp->next_generation;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-    clock_at_start_ = device_.sim_time_s() - cp->consumed_device;
-    finish_cache_.reset();
-  }
-
-  meta::EngineOutput Finish() override {
-    const GpuRunResult gpu = FinishGpu();
-    meta::EngineOutput out;
-    out.result.best = gpu.best;
-    out.result.best_cost = gpu.best_cost;
-    out.result.evaluations = gpu.evaluations;
-    out.result.wall_seconds = gpu.wall_seconds;
-    out.result.stopped = gpu.stopped;
-    out.result.trajectory = gpu.trajectory;
-    out.device_seconds = gpu.device_seconds;
-    return out;
-  }
-
-  /// Memoized until the next Step/Restore so repeated Finish calls stay
-  /// idempotent (a second call must not charge a second modeled D2H).
-  GpuRunResult FinishGpu() {
-    if (finish_cache_) return *finish_cache_;
-    const auto t_start = Clock::now();
-    GpuRunResult result = result_;
-    std::int64_t packed = 0;
-    state_->packed_best.CopyToHost(std::span<std::int64_t>(&packed, 1));
-    result.best_cost = raw::UnpackCost(packed);
-    result.best = detail::DownloadRow(state_->pbest, state_->problem.n(),
-                                      raw::UnpackThread(packed));
-    result.device_seconds = device_.sim_time_s() - clock_at_start_;
-    result.wall_seconds =
-        elapsed_ +
-        std::chrono::duration<double>(Clock::now() - t_start).count();
-    finish_cache_ = result;
-    return result;
-  }
-
- private:
-  void PublishGbest() {
-    const std::uint32_t ensemble = params_.config.ensemble();
-    const std::int32_t n = state_->problem.n();
-    JobId* d_pbest = state_->pbest.data();
-    JobId* d_gbest = state_->gbest.data();
-    Cost* d_pbest_cost = state_->pbest_cost.data();
-    std::int64_t* d_packed = state_->packed_best.data();
-    sim::LaunchOptions opts;
-    opts.name = "dpso_gbest_publish";
-    device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                   [=](sim::ThreadCtx& t) {
-                     const std::uint64_t tid = t.global_thread();
-                     if (tid >= ensemble) return;
-                     // Exactly one thread matches the packed key's id.
-                     const std::int64_t packed = *d_packed;
-                     if (raw::UnpackThread(packed) != tid) return;
-                     if (d_pbest_cost[tid] != raw::UnpackCost(packed)) {
-                       return;
-                     }
-                     const JobId* src = d_pbest + tid * n;
-                     for (std::int32_t i = 0; i < n; ++i) {
-                       d_gbest[i] = src[i];
-                     }
-                     t.charge(static_cast<std::uint64_t>(n));
-                   });
-  }
-
-  template <typename T>
-  static void CopyOut(const sim::DeviceBuffer<T>& buffer,
-                      std::vector<T>& host) {
-    host.assign(buffer.data(), buffer.data() + buffer.size());
-  }
-  template <typename T>
-  static void CopyIn(const std::vector<T>& host,
-                     sim::DeviceBuffer<T>& buffer) {
-    std::copy(host.begin(), host.end(), buffer.data());
-  }
-
-  sim::Device& device_;
   ParallelDpsoParams params_;
-  double clock_at_start_;
-  std::unique_ptr<DpsoDeviceState> state_;
-  std::uint64_t g_ = 1;
-  GpuRunResult result_;
-  meta::StepStatus status_ = meta::StepStatus::kRunning;
-  double elapsed_ = 0.0;
-  std::optional<GpuRunResult> finish_cache_;
+  sim::DeviceBuffer<JobId> pos_;
+  sim::DeviceBuffer<JobId> pbest_;
+  sim::DeviceBuffer<JobId> child_;
+  sim::DeviceBuffer<std::uint8_t> used_;
+  sim::DeviceBuffer<JobId> gbest_;
+  sim::DeviceBuffer<Cost> pos_cost_;
+  sim::DeviceBuffer<Cost> pbest_cost_;
 };
 
 }  // namespace
@@ -396,9 +176,7 @@ std::unique_ptr<meta::Engine> MakeParallelDpsoEngine(
 
 GpuRunResult RunParallelDpso(sim::Device& device, const Instance& instance,
                              const ParallelDpsoParams& params) {
-  ParallelDpsoEngine engine(device, instance, params);
-  engine.Step(meta::kStepAll);
-  return engine.FinishGpu();
+  return ParallelDpsoEngine(device, instance, params).RunToCompletion();
 }
 
 }  // namespace cdd::par

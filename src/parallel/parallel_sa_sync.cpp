@@ -11,361 +11,170 @@
 #include "meta/objective.hpp"
 #include "meta/temperature.hpp"
 #include "parallel/detail.hpp"
-#include "parallel/device_problem.hpp"
+#include "parallel/device_engine.hpp"
 #include "parallel/kernels_raw.hpp"
 
 namespace cdd::par {
 
 namespace {
-constexpr std::uint32_t kMaxPert = 32;
 
-using Clock = std::chrono::steady_clock;
-
-/// State at a temperature-level boundary.  Every level ends with the
-/// broadcast that overwrites all current states, so curr/curr_cost (plus
-/// the host-tracked best and the AtomicMin accumulator) are the whole
-/// ensemble state; cand and the per-level buffers are scratch.  The
-/// temperature is a pure function of the level index — no accumulator.
-struct ParallelSaSyncCheckpoint final : meta::EngineCheckpoint {
-  std::vector<JobId> curr;
-  std::vector<Cost> curr_cost;
-  std::int64_t packed_best = 0;
-  std::uint32_t next_level = 0;
-  GpuRunResult result;
-  meta::StepStatus status = meta::StepStatus::kRunning;
-  double elapsed = 0.0;
-  double consumed_device = 0.0;
-};
-
-double ValidateAndResolveT0(sim::Device& device, const Instance& instance,
-                            const ParallelSaSyncParams& params) {
-  params.config.Validate(device);
-  if (params.pert > kMaxPert) {
-    throw std::invalid_argument("RunParallelSaSync: pert exceeds 32");
-  }
-  const meta::SequenceObjective objective =
-      meta::SequenceObjective::ForInstance(instance);
-  return params.initial_temperature > 0.0
-             ? params.initial_temperature
-             : meta::InitialTemperature(objective, params.temp_samples,
-                                        params.seed);
-}
-
-struct SaSyncDeviceState {
-  DeviceProblem problem;
-  sim::DeviceBuffer<JobId> curr;
-  sim::DeviceBuffer<JobId> cand;
-  sim::DeviceBuffer<JobId> broadcast;
-  sim::DeviceBuffer<Cost> curr_cost;
-  sim::DeviceBuffer<Cost> cand_cost;
-  sim::DeviceBuffer<std::int64_t> packed_level;
-  sim::DeviceBuffer<std::int64_t> packed_best;
-  sim::DeviceBuffer<std::int64_t> distance_sum;
-
-  SaSyncDeviceState(sim::Device& device, const Instance& instance,
-                    std::uint32_t ensemble)
-      : problem(device, instance),
-        curr(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        cand(device, static_cast<std::size_t>(ensemble) * problem.n()),
-        broadcast(device, static_cast<std::size_t>(problem.n())),
-        curr_cost(device, ensemble),
-        cand_cost(device, ensemble),
-        packed_level(device, 1),
-        packed_best(device, 1),
-        distance_sum(device, 1) {}
-};
-
-class ParallelSaSyncEngine final : public meta::Engine {
+/// The synchronous SA on the device-engine skeleton.  Step units are
+/// temperature levels.  Every level ends with the broadcast that
+/// overwrites all current states, so curr/curr_cost (plus the host-tracked
+/// best in the result and the packed best-ever key) are the whole ensemble
+/// state; cand and the per-level buffers are scratch.  The temperature is
+/// a pure function of the level index — no accumulator.
+class ParallelSaSyncEngine final : public detail::DeviceEngine {
  public:
   ParallelSaSyncEngine(sim::Device& device, const Instance& instance,
                        const ParallelSaSyncParams& params)
-      : device_(device),
+      : DeviceEngine(device, instance, params.config,
+                     {"RunParallelSaSync", "par.sa_sync",
+                      params.temperature_levels, params.stop}),
         params_(params),
-        clock_at_start_(device.sim_time_s()),
-        t0_(ValidateAndResolveT0(device, instance, params)) {
-    const auto t_start = Clock::now();
-    const std::uint32_t ensemble = params_.config.ensemble();
-
-    state_ = std::make_unique<SaSyncDeviceState>(device_, instance,
-                                                 ensemble);
-    if (state_->problem.cost_upper_bound() >= raw::kMaxPackableCost) {
+        curr_(device, cells()),
+        cand_(device, cells()),
+        broadcast_(device, static_cast<std::size_t>(n())),
+        curr_cost_(device, ensemble()),
+        cand_cost_(device, ensemble()),
+        packed_level_(device, 1),
+        distance_sum_(device, 1) {
+    if (params_.pert > detail::kMaxPert) {
       throw std::invalid_argument(
-          "RunParallelSaSync: instance costs exceed the packed key range");
+          "RunParallelSaSync: pert exceeds the kernel's scratch capacity "
+          "(32)");
     }
-    const std::int32_t n = state_->problem.n();
-    state_->packed_best.Fill(
-        raw::PackCostThread(state_->problem.cost_upper_bound(), 0));
-
-    {
-      const std::vector<JobId> init =
-          detail::MakeInitialSequences(ensemble, n, params_.seed);
-      state_->curr.CopyFromHost(init);
-    }
-
-    const CandidatePoolView curr_pool = detail::DeviceView(
-        state_->curr.data(), state_->curr_cost.data(), n, ensemble);
-    detail::LaunchFitness(device_, state_->problem, params_.config,
-                          curr_pool, "sync_fitness");
-    result_.evaluations += ensemble;
-
-    if (params_.temperature_levels == 0) status_ = meta::StepStatus::kDone;
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-  }
-
-  meta::StepStatus Step(std::uint64_t units) override {
-    if (status_ != meta::StepStatus::kRunning || units == 0) return status_;
+    t0_ = meta::ResolveInitialTemperature(
+        params_.initial_temperature,
+        meta::SequenceObjective::ForInstance(instance), params_.temp_samples,
+        params_.seed);
     const auto t_start = Clock::now();
-    const std::uint32_t ensemble = params_.config.ensemble();
-    const std::int32_t n = state_->problem.n();
-    const std::uint64_t seed = params_.seed;
-    const std::uint32_t pert = params_.pert;
-    JobId* d_curr = state_->curr.data();
-    JobId* d_cand = state_->cand.data();
-    JobId* d_bcast = state_->broadcast.data();
-    Cost* d_curr_cost = state_->curr_cost.data();
-    Cost* d_cand_cost = state_->cand_cost.data();
-    std::int64_t* d_packed_level = state_->packed_level.data();
-    std::int64_t* d_packed_best = state_->packed_best.data();
-    std::int64_t* d_distance = state_->distance_sum.data();
-    const Cost bound = state_->problem.cost_upper_bound();
-    const CandidatePoolView cand_pool =
-        detail::DeviceView(d_cand, d_cand_cost, n, ensemble);
-
-    const std::uint32_t last =
-        level_ + static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                     units, params_.temperature_levels - level_));
-    for (; level_ < last; ++level_) {
-      const std::uint32_t level = level_;
-      if (params_.stop.stop_requested()) {
-        result_.stopped = true;
-        status_ = meta::StepStatus::kStopped;
-        break;
-      }
-      const double temp = std::max(
-          t0_ * std::pow(params_.mu, static_cast<double>(level)), 1e-300);
-
-      // --- constant-temperature Markov chain of length M ------------------
-      for (std::uint32_t m = 0; m < params_.chain_length; ++m) {
-        const std::uint64_t g =
-            static_cast<std::uint64_t>(level) * params_.chain_length + m + 1;
-        const bool shuffle_now =
-            params_.neighborhood ==
-                meta::NeighborhoodMode::kShuffleEveryIteration ||
-            (g - 1) % std::max(params_.shuffle_period, 1u) == 0;
-        {
-          sim::LaunchOptions opts;
-          opts.name = "sync_perturbation";
-          device_.Launch(
-              params_.config.grid(), params_.config.block(), opts,
-              [=](sim::ThreadCtx& t) {
-                const std::uint64_t tid = t.global_thread();
-                if (tid >= ensemble) return;
-                const JobId* src = d_curr + tid * n;
-                JobId* dst = d_cand + tid * n;
-                for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
-                rng::Philox4x32 rng =
-                    raw::MakeStream(seed, g, raw::RngPhase::kPerturb,
-                                    static_cast<std::uint32_t>(tid));
-                if (shuffle_now) {
-                  std::uint32_t positions[kMaxPert];
-                  JobId values[kMaxPert];
-                  raw::PerturbRaw(dst, n, pert, rng, positions, values);
-                  t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
-                } else {
-                  raw::SwapRaw(dst, n, rng);
-                  t.charge(static_cast<std::uint64_t>(n) + 2);
-                }
-              });
-        }
-        detail::LaunchFitness(device_, state_->problem, params_.config,
-                              cand_pool, "sync_fitness");
-        result_.evaluations += ensemble;
-        {
-          sim::LaunchOptions opts;
-          opts.name = "sync_acceptance";
-          device_.Launch(
-              params_.config.grid(), params_.config.block(), opts,
-              [=](sim::ThreadCtx& t) {
-                const std::uint64_t tid = t.global_thread();
-                if (tid >= ensemble) return;
-                rng::Philox4x32 rng =
-                    raw::MakeStream(seed, g, raw::RngPhase::kAccept,
-                                    static_cast<std::uint32_t>(tid));
-                const Cost e = d_curr_cost[tid];
-                const Cost e_new = d_cand_cost[tid];
-                const double accept =
-                    std::exp(static_cast<double>(e - e_new) / temp);
-                if (accept >= static_cast<double>(rng.NextUniform())) {
-                  JobId* cur = d_curr + tid * n;
-                  const JobId* cnd = d_cand + tid * n;
-                  for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
-                  d_curr_cost[tid] = e_new;
-                  t.charge(static_cast<std::uint64_t>(n));
-                }
-                t.charge(4);
-              });
-        }
-        device_.Synchronize();
-      }
-
-      // --- reduce the level's best current state --------------------------
-      state_->packed_level.Fill(raw::PackCostThread(bound, 0));
-      detail::LaunchReduction(device_, params_.config, d_curr_cost,
-                              d_packed_level, "sync_reduction");
-      {
-        // The winning thread publishes its state for the broadcast.
-        sim::LaunchOptions opts;
-        opts.name = "sync_select";
-        device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                       [=](sim::ThreadCtx& t) {
-                         const std::uint64_t tid = t.global_thread();
-                         if (tid >= ensemble) return;
-                         const std::int64_t packed = *d_packed_level;
-                         if (raw::UnpackThread(packed) != tid) return;
-                         const JobId* src = d_curr + tid * n;
-                         for (std::int32_t i = 0; i < n; ++i) {
-                           d_bcast[i] = src[i];
-                         }
-                         sim::AtomicMin(d_packed_best, packed);
-                         t.charge(static_cast<std::uint64_t>(n));
-                       });
-      }
-
-      // --- optional diversity metric (before states are overwritten) ------
-      if (params_.record_diversity) {
-        state_->distance_sum.Fill(0);
-        sim::LaunchOptions opts;
-        opts.name = "sync_diversity";
-        device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                       [=](sim::ThreadCtx& t) {
-                         const std::uint64_t tid = t.global_thread();
-                         if (tid >= ensemble) return;
-                         const JobId* mine = d_curr + tid * n;
-                         std::int64_t dist = 0;
-                         for (std::int32_t i = 0; i < n; ++i) {
-                           dist += (mine[i] != d_bcast[i]) ? 1 : 0;
-                         }
-                         sim::AtomicAdd(d_distance, dist);
-                         t.charge(static_cast<std::uint64_t>(n));
-                       });
-        std::int64_t total = 0;
-        state_->distance_sum.CopyToHost(std::span<std::int64_t>(&total, 1));
-        result_.diversity.push_back(static_cast<double>(total) /
-                                    static_cast<double>(ensemble));
-      }
-
-      // --- broadcast s_min to every thread (Fig 8's state exchange) -------
-      {
-        sim::LaunchOptions opts;
-        opts.name = "sync_broadcast";
-        device_.Launch(params_.config.grid(), params_.config.block(), opts,
-                       [=](sim::ThreadCtx& t) {
-                         const std::uint64_t tid = t.global_thread();
-                         if (tid >= ensemble) return;
-                         const Cost best =
-                             raw::UnpackCost(*d_packed_level);
-                         JobId* cur = d_curr + tid * n;
-                         for (std::int32_t i = 0; i < n; ++i) {
-                           cur[i] = d_bcast[i];
-                         }
-                         d_curr_cost[tid] = best;
-                         t.charge(static_cast<std::uint64_t>(n));
-                       });
-      }
-      device_.Synchronize();
-
-      // Track the best-ever broadcast state on the host: later levels can
-      // regress (metropolis accepts uphill moves), so the final broadcast
-      // is not necessarily the best one seen.
-      std::int64_t level_packed = 0;
-      state_->packed_level.CopyToHost(
-          std::span<std::int64_t>(&level_packed, 1));
-      const Cost level_cost = raw::UnpackCost(level_packed);
-      if (level_cost < result_.best_cost) {
-        result_.best_cost = level_cost;
-        Sequence state(static_cast<std::size_t>(n));
-        state_->broadcast.CopyToHost(std::span<JobId>(state));
-        result_.best = std::move(state);
-      }
-    }
-    if (status_ == meta::StepStatus::kRunning &&
-        level_ == params_.temperature_levels) {
-      status_ = meta::StepStatus::kDone;
-    }
-    elapsed_ += std::chrono::duration<double>(Clock::now() - t_start).count();
-    return status_;
+    Upload(instance);
+    SeedEnsemble(instance, params_.seed, /*vshape=*/false, {&curr_});
+    KeepAcrossCheckpoints({{&curr_}, {&curr_cost_}});
+    Fitness(curr_.data(), curr_cost_.data(), "sync_fitness");
+    InitDone(t_start);
   }
 
-  std::uint64_t Remaining() const override {
-    return status_ == meta::StepStatus::kRunning
-               ? params_.temperature_levels - level_
-               : 0;
-  }
-
+  /// The best broadcast state seen so far (tracked on the host).
   Cost BestCost() const override { return result_.best_cost; }
 
-  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
-    auto cp = std::make_unique<ParallelSaSyncCheckpoint>();
-    cp->curr.assign(state_->curr.data(),
-                    state_->curr.data() + state_->curr.size());
-    cp->curr_cost.assign(state_->curr_cost.data(),
-                         state_->curr_cost.data() + state_->curr_cost.size());
-    cp->packed_best = *state_->packed_best.data();
-    cp->next_level = level_;
-    cp->result = result_;
-    cp->status = status_;
-    cp->elapsed = elapsed_;
-    cp->consumed_device = device_.sim_time_s() - clock_at_start_;
-    return cp;
-  }
-
-  void Restore(const meta::EngineCheckpoint& checkpoint) override {
-    const auto* cp =
-        dynamic_cast<const ParallelSaSyncCheckpoint*>(&checkpoint);
-    if (cp == nullptr || cp->curr.size() != state_->curr.size()) {
-      throw std::invalid_argument("ParallelSaSyncEngine: foreign checkpoint");
-    }
-    std::copy(cp->curr.begin(), cp->curr.end(), state_->curr.data());
-    std::copy(cp->curr_cost.begin(), cp->curr_cost.end(),
-              state_->curr_cost.data());
-    *state_->packed_best.data() = cp->packed_best;
-    level_ = cp->next_level;
-    result_ = cp->result;
-    status_ = cp->status;
-    elapsed_ = cp->elapsed;
-    clock_at_start_ = device_.sim_time_s() - cp->consumed_device;
-  }
-
-  meta::EngineOutput Finish() override {
-    const GpuRunResult gpu = FinishGpu();
-    meta::EngineOutput out;
-    out.result.best = gpu.best;
-    out.result.best_cost = gpu.best_cost;
-    out.result.evaluations = gpu.evaluations;
-    out.result.wall_seconds = gpu.wall_seconds;
-    out.result.stopped = gpu.stopped;
-    out.result.trajectory = gpu.trajectory;
-    out.device_seconds = gpu.device_seconds;
-    return out;
-  }
-
-  GpuRunResult FinishGpu() {
-    GpuRunResult result = result_;
-    result.device_seconds = device_.sim_time_s() - clock_at_start_;
-    result.wall_seconds = elapsed_;
-    return result;
-  }
-
  private:
-  sim::Device& device_;
+  void RunUnit(std::uint64_t unit) override {
+    const auto level = static_cast<std::uint32_t>(unit);
+    const std::uint32_t ensemble = this->ensemble();
+    const std::int32_t n = this->n();
+    const std::uint64_t seed = params_.seed;
+    JobId* d_curr = curr_.data();
+    JobId* d_cand = cand_.data();
+    JobId* d_bcast = broadcast_.data();
+    Cost* d_curr_cost = curr_cost_.data();
+    Cost* d_cand_cost = cand_cost_.data();
+    std::int64_t* d_packed_level = packed_level_.data();
+    std::int64_t* d_packed_best = packed_best_->data();
+    std::int64_t* d_distance = distance_sum_.data();
+    const double temp = std::max(
+        t0_ * std::pow(params_.mu, static_cast<double>(level)), 1e-300);
+
+    // --- constant-temperature Markov chain of length M --------------------
+    for (std::uint32_t m = 0; m < params_.chain_length; ++m) {
+      const std::uint64_t g =
+          static_cast<std::uint64_t>(level) * params_.chain_length + m + 1;
+      detail::LaunchPerturbation(device_, config_, d_curr, d_cand, n, seed, g,
+                                 params_.pert, params_.neighborhood,
+                                 params_.shuffle_period, "sync_perturbation");
+      Fitness(d_cand, d_cand_cost, "sync_fitness");
+      Launch("sync_acceptance", [=](sim::ThreadCtx& t) {
+        const std::uint64_t tid = t.global_thread();
+        if (tid >= ensemble) return;
+        rng::Philox4x32 rng = raw::MakeStream(
+            seed, g, raw::RngPhase::kAccept, static_cast<std::uint32_t>(tid));
+        const Cost e = d_curr_cost[tid];
+        const Cost e_new = d_cand_cost[tid];
+        const double accept = std::exp(static_cast<double>(e - e_new) / temp);
+        if (accept >= static_cast<double>(rng.NextUniform())) {
+          JobId* cur = d_curr + tid * n;
+          const JobId* cnd = d_cand + tid * n;
+          for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
+          d_curr_cost[tid] = e_new;
+          t.charge(static_cast<std::uint64_t>(n));
+        }
+        t.charge(4);
+      });
+      device_.Synchronize();
+    }
+
+    // --- reduce the level's best current state ----------------------------
+    packed_level_.Fill(raw::PackCostThread(problem_->cost_upper_bound(), 0));
+    detail::LaunchReduction(device_, config_, d_curr_cost, d_packed_level,
+                            "sync_reduction");
+    // The winning thread publishes its state for the broadcast.
+    Launch("sync_select", [=](sim::ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      if (tid >= ensemble) return;
+      const std::int64_t packed = *d_packed_level;
+      if (raw::UnpackThread(packed) != tid) return;
+      const JobId* src = d_curr + tid * n;
+      for (std::int32_t i = 0; i < n; ++i) d_bcast[i] = src[i];
+      sim::AtomicMin(d_packed_best, packed);
+      t.charge(static_cast<std::uint64_t>(n));
+    });
+
+    // --- optional diversity metric (before states are overwritten) --------
+    if (params_.record_diversity) {
+      distance_sum_.Fill(0);
+      Launch("sync_diversity", [=](sim::ThreadCtx& t) {
+        const std::uint64_t tid = t.global_thread();
+        if (tid >= ensemble) return;
+        const JobId* mine = d_curr + tid * n;
+        std::int64_t dist = 0;
+        for (std::int32_t i = 0; i < n; ++i) {
+          dist += (mine[i] != d_bcast[i]) ? 1 : 0;
+        }
+        sim::AtomicAdd(d_distance, dist);
+        t.charge(static_cast<std::uint64_t>(n));
+      });
+      std::int64_t total = 0;
+      distance_sum_.CopyToHost(std::span<std::int64_t>(&total, 1));
+      result_.diversity.push_back(static_cast<double>(total) /
+                                  static_cast<double>(ensemble));
+    }
+
+    // --- broadcast s_min to every thread (Fig 8's state exchange) ---------
+    Launch("sync_broadcast", [=](sim::ThreadCtx& t) {
+      const std::uint64_t tid = t.global_thread();
+      if (tid >= ensemble) return;
+      const Cost best = raw::UnpackCost(*d_packed_level);
+      JobId* cur = d_curr + tid * n;
+      for (std::int32_t i = 0; i < n; ++i) cur[i] = d_bcast[i];
+      d_curr_cost[tid] = best;
+      t.charge(static_cast<std::uint64_t>(n));
+    });
+    device_.Synchronize();
+
+    // Track the best-ever broadcast state on the host: later levels can
+    // regress (metropolis accepts uphill moves), so the final broadcast is
+    // not necessarily the best one seen.
+    std::int64_t level_packed = 0;
+    packed_level_.CopyToHost(std::span<std::int64_t>(&level_packed, 1));
+    const Cost level_cost = raw::UnpackCost(level_packed);
+    if (level_cost < result_.best_cost) {
+      result_.best_cost = level_cost;
+      Sequence state(static_cast<std::size_t>(n));
+      broadcast_.CopyToHost(std::span<JobId>(state));
+      result_.best = std::move(state);
+    }
+  }
+
   ParallelSaSyncParams params_;
-  double clock_at_start_;
-  double t0_;
-  std::unique_ptr<SaSyncDeviceState> state_;
-  std::uint32_t level_ = 0;  ///< next temperature level to run
-  GpuRunResult result_;
-  meta::StepStatus status_ = meta::StepStatus::kRunning;
-  double elapsed_ = 0.0;
+  sim::DeviceBuffer<JobId> curr_;
+  sim::DeviceBuffer<JobId> cand_;
+  sim::DeviceBuffer<JobId> broadcast_;
+  sim::DeviceBuffer<Cost> curr_cost_;
+  sim::DeviceBuffer<Cost> cand_cost_;
+  sim::DeviceBuffer<std::int64_t> packed_level_;
+  sim::DeviceBuffer<std::int64_t> distance_sum_;
+  double t0_ = 0.0;
 };
 
 }  // namespace
@@ -378,9 +187,7 @@ std::unique_ptr<meta::Engine> MakeParallelSaSyncEngine(
 
 GpuRunResult RunParallelSaSync(sim::Device& device, const Instance& instance,
                                const ParallelSaSyncParams& params) {
-  ParallelSaSyncEngine engine(device, instance, params);
-  engine.Step(meta::kStepAll);
-  return engine.FinishGpu();
+  return ParallelSaSyncEngine(device, instance, params).RunToCompletion();
 }
 
 }  // namespace cdd::par
