@@ -27,8 +27,8 @@
 ///   bench_serve_loadgen --dup-frac 0.5        # cache-friendly traffic
 ///   bench_serve_loadgen --socket --watermarks 8:32 --json BENCH_serve.json
 ///   bench_serve_loadgen --smoke               # deterministic assertions
-///   bench_serve_loadgen --pool-backends host,pinned,device,numa \
-///       --engine dpso --sizes 50,200,500 --dup-frac 0
+///   bench_serve_loadgen --pool-backends host,pinned,device,numa
+///                       --engine dpso --sizes 50,200,500 --dup-frac 0
 
 #include <unistd.h>
 
@@ -53,6 +53,7 @@
 #include "benchutil/stats.hpp"
 #include "benchutil/table.hpp"
 #include "core/pool_allocator.hpp"
+#include "meta/engine.hpp"
 #include "orlib/biskup_feldmann.hpp"
 #include "rng/philox.hpp"
 #include "serve/net/client.hpp"
@@ -219,19 +220,46 @@ struct Gate {
   }
 };
 
+/// One-shot engine whose Step parks until gate->Release(), then answers
+/// the identity sequence at cost 0.
+class BlockEngine final : public meta::Engine {
+ public:
+  BlockEngine(Gate* gate, std::size_t n) : gate_(gate), n_(n) {}
+
+  meta::StepStatus Step(std::uint64_t units) override {
+    if (!done_ && units > 0) {
+      gate_->entered.fetch_add(1);
+      gate_->Wait();
+      done_ = true;
+    }
+    return done_ ? meta::StepStatus::kDone : meta::StepStatus::kRunning;
+  }
+  std::uint64_t Remaining() const override { return done_ ? 0 : 1; }
+  Cost BestCost() const override { return done_ ? 0 : kInfiniteCost; }
+  std::unique_ptr<meta::EngineCheckpoint> Checkpoint() const override {
+    return std::make_unique<meta::EngineCheckpoint>();
+  }
+  void Restore(const meta::EngineCheckpoint&) override {}
+  meta::EngineOutput Finish() override {
+    meta::EngineOutput out;
+    out.result.best = IdentitySequence(n_);
+    out.result.best_cost = 0;
+    out.result.evaluations = 1;
+    return out;
+  }
+
+ private:
+  Gate* gate_;
+  std::size_t n_;
+  bool done_ = false;
+};
+
 /// Default registry plus a "block" engine that parks until gate->Release().
 serve::EngineRegistry BlockingRegistry(Gate* gate) {
   serve::EngineRegistry registry = serve::EngineRegistry::Default();
-  registry.Register(
-      "block",
-      [gate](const Instance& instance, const serve::EngineOptions&) {
-        gate->entered.fetch_add(1);
-        gate->Wait();
-        serve::EngineRun run;
-        run.result.best = IdentitySequence(instance.size());
-        run.result.best_cost = 0;
-        run.result.evaluations = 1;
-        return run;
+  registry.RegisterFactory(
+      "block", [gate](const Instance& instance, const serve::EngineOptions&) {
+        return std::make_unique<BlockEngine>(gate, instance.size());
       });
   return registry;
 }

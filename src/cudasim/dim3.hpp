@@ -35,8 +35,16 @@ struct Dim3 {
 };
 
 inline std::string ToString(const Dim3& d) {
-  return "(" + std::to_string(d.x) + "," + std::to_string(d.y) + "," +
-         std::to_string(d.z) + ")";
+  // Appends into one string rather than chaining operator+: gcc 12
+  // reports a false -Wrestrict on the inlined chain of temporaries.
+  std::string out = "(";
+  out += std::to_string(d.x);
+  out += ',';
+  out += std::to_string(d.y);
+  out += ',';
+  out += std::to_string(d.z);
+  out += ')';
+  return out;
 }
 
 }  // namespace cdd::sim

@@ -337,36 +337,32 @@ std::size_t PoolCapacityHint(std::string_view name,
   return 0;
 }
 
-void EngineRegistry::Register(std::string name, EngineFn fn) {
-  engines_[std::move(name)] = std::move(fn);
-}
-
 void EngineRegistry::RegisterFactory(std::string name,
                                      EngineFactory factory) {
-  engines_[name] = [factory](const Instance& instance,
-                             const EngineOptions& options) {
+  EngineFn run = [factory](const Instance& instance,
+                           const EngineOptions& options) {
     const std::unique_ptr<meta::Engine> engine = factory(instance, options);
     const meta::EngineOutput out = meta::RunToCompletion(*engine);
     return EngineRun{out.result, out.device_seconds};
   };
-  factories_[std::move(name)] = std::move(factory);
+  engines_[std::move(name)] = {std::move(factory), std::move(run)};
 }
 
 const EngineFn* EngineRegistry::Find(std::string_view name) const {
   const auto it = engines_.find(name);
-  return it == engines_.end() ? nullptr : &it->second;
+  return it == engines_.end() ? nullptr : &it->second.run;
 }
 
 const EngineFactory* EngineRegistry::FindFactory(
     std::string_view name) const {
-  const auto it = factories_.find(name);
-  return it == factories_.end() ? nullptr : &it->second;
+  const auto it = engines_.find(name);
+  return it == engines_.end() ? nullptr : &it->second.factory;
 }
 
 std::vector<std::string> EngineRegistry::Names() const {
   std::vector<std::string> names;
   names.reserve(engines_.size());
-  for (const auto& [name, fn] : engines_) names.push_back(name);
+  for (const auto& [name, entry] : engines_) names.push_back(name);
   return names;  // std::map iterates sorted
 }
 

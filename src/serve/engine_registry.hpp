@@ -144,19 +144,17 @@ using EngineFactory = std::function<std::unique_ptr<meta::Engine>(
 /// Immutable-after-setup name -> engine table.
 class EngineRegistry {
  public:
-  /// Registers \p fn under \p name, replacing any previous entry.
-  void Register(std::string name, EngineFn fn);
-
-  /// Registers a resumable-engine factory under \p name and derives the
-  /// one-shot EngineFn from it (construct, run to completion, finish), so
-  /// Find() and FindFactory() always agree on the run they produce.
+  /// Registers a resumable-engine factory under \p name, replacing any
+  /// previous entry, and derives the one-shot EngineFn from it (construct,
+  /// run to completion, finish), so Find() and FindFactory() always agree
+  /// on the run they produce.
   void RegisterFactory(std::string name, EngineFactory factory);
 
   /// Looks up an engine; nullptr when the name is unknown.
   const EngineFn* Find(std::string_view name) const;
 
   /// Looks up a resumable-engine factory; nullptr when the name is
-  /// unknown or was registered through Register() only.
+  /// unknown.
   const EngineFactory* FindFactory(std::string_view name) const;
 
   /// All registered names, sorted (for error messages and --help).
@@ -169,8 +167,11 @@ class EngineRegistry {
   static const EngineRegistry& Default();
 
  private:
-  std::map<std::string, EngineFn, std::less<>> engines_;
-  std::map<std::string, EngineFactory, std::less<>> factories_;
+  struct Entry {
+    EngineFactory factory;
+    EngineFn run;  ///< derived from `factory`
+  };
+  std::map<std::string, Entry, std::less<>> engines_;
 };
 
 }  // namespace cdd::serve

@@ -447,9 +447,8 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
   try {
     EngineRun run = [&] {
       CDD_TRACE_SPAN("serve.engine");
-      if (config_.preempt_slice == 0 || job.factory == nullptr) {
-        // One-shot path: no preemption configured (or a legacy EngineFn
-        // registration with no resumable construction seam).
+      if (config_.preempt_slice == 0) {
+        // One-shot path: no preemption configured.
         return (*job.engine)(job.request.instance, options);
       }
       // Sliced path: run the engine preempt_slice native units at a time.

@@ -57,7 +57,10 @@
 
 namespace cdd::serve {
 
-/// Sizing of one SolverService.
+/// Sizing of one SolverService.  Every field has a default member
+/// initializer (`{}` on the strings), so designated-initializer configs
+/// such as ServiceConfig{.workers = 2} compile clean under
+/// -Wmissing-field-initializers.
 struct ServiceConfig {
   unsigned workers = 4;             ///< solver threads
   std::size_t queue_capacity = 256; ///< admission bound (backpressure)
@@ -67,11 +70,11 @@ struct ServiceConfig {
   /// appends one JSONL run manifest here — the record tools/sched_replay
   /// re-executes and verifies bit-identically.  Truncated and failed runs
   /// are never recorded: a manifest always describes a reproducible run.
-  std::string manifest_path;
+  std::string manifest_path{};
   /// Candidate-pool placement for request-scoped pools ("host", "pinned",
   /// "device", "numa").  Empty defers to CDD_POOL_BACKEND (then "host").
   /// Placement never changes results — only the modeled transfer cost.
-  std::string pool_backend;
+  std::string pool_backend{};
   /// Block-execution backend for the private simulated devices the device
   /// engines run on ("serial", "host-parallel"); see
   /// sim::exec::ActiveExecBackend.  Empty defers to CDD_EXEC_BACKEND —
@@ -80,7 +83,7 @@ struct ServiceConfig {
   /// (each request would only contend with its siblings for the same
   /// cores), counted in the `exec_clamped` metric.  An explicit setting
   /// here is honored as-is.  Execution placement never changes results.
-  std::string exec_backend;
+  std::string exec_backend{};
   /// Test seam: when non-null, overrides `pool_backend` entirely and every
   /// request-scoped pool allocates through this allocator (e.g. an
   /// always-failing one to exercise the host-fallback path).  Must outlive
@@ -177,11 +180,8 @@ class SolverService {
  private:
   struct Job {
     SolveRequest request;
-    const EngineFn* engine = nullptr;
-    /// Resumable construction path; null only for engines registered
-    /// through the legacy Register(EngineFn) seam, which then run
-    /// one-shot even under a preempt_slice.
-    const EngineFactory* factory = nullptr;
+    const EngineFn* engine = nullptr;      ///< one-shot path
+    const EngineFactory* factory = nullptr;  ///< sliced (preemptible) path
     std::uint64_t key = 0;
     std::chrono::steady_clock::time_point admitted;
     std::promise<SolveResponse> promise;

@@ -12,12 +12,15 @@
 #include <mutex>
 #include <thread>
 
+#include "common/fn_engine.hpp"
 #include "common/test_instances.hpp"
 #include "serve/request.hpp"
 #include "serve/service.hpp"
 
 namespace cdd::serve {
 namespace {
+
+using cdd::testing::FnFactory;
 
 /// Parks the "block" engine until Release(): with one worker busy on it,
 /// every subsequent submit is observed *queued*, making join/re-election
@@ -43,16 +46,17 @@ struct Gate {
 
 EngineRegistry BlockingRegistry(Gate* gate) {
   EngineRegistry registry = EngineRegistry::Default();
-  registry.Register("block",
-                    [gate](const Instance& instance, const EngineOptions&) {
-                      gate->entered.fetch_add(1);
-                      gate->Wait();
-                      EngineRun run;
-                      run.result.best = IdentitySequence(instance.size());
-                      run.result.best_cost = 0;
-                      run.result.evaluations = 1;
-                      return run;
-                    });
+  registry.RegisterFactory(
+      "block", FnFactory([gate](const Instance& instance,
+                                const EngineOptions&) {
+        gate->entered.fetch_add(1);
+        gate->Wait();
+        EngineRun run;
+        run.result.best = IdentitySequence(instance.size());
+        run.result.best_cost = 0;
+        run.result.evaluations = 1;
+        return run;
+      }));
   return registry;
 }
 

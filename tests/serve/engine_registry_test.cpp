@@ -6,11 +6,14 @@
 
 #include <algorithm>
 
+#include "common/fn_engine.hpp"
 #include "common/test_instances.hpp"
 #include "core/sequence.hpp"
 
 namespace cdd::serve {
 namespace {
+
+using cdd::testing::FnFactory;
 
 TEST(EngineRegistry, DefaultHasAllTenEngines) {
   const std::vector<std::string> names =
@@ -31,18 +34,20 @@ TEST(EngineRegistry, UnknownNameReturnsNull) {
 TEST(EngineRegistry, RegisterReplacesAndFinds) {
   EngineRegistry registry;
   int calls = 0;
-  registry.Register("x", [&calls](const Instance&, const EngineOptions&) {
-    ++calls;
-    return EngineRun{};
-  });
+  registry.RegisterFactory(
+      "x", FnFactory([&calls](const Instance&, const EngineOptions&) {
+        ++calls;
+        return EngineRun{};
+      }));
   const EngineFn* fn = registry.Find("x");
   ASSERT_NE(fn, nullptr);
   (*fn)(cdd::testing::PaperExampleCdd(), EngineOptions{});
   EXPECT_EQ(calls, 1);
 
-  registry.Register("x", [](const Instance&, const EngineOptions&) {
-    return EngineRun{};
-  });
+  registry.RegisterFactory(
+      "x", FnFactory([](const Instance&, const EngineOptions&) {
+        return EngineRun{};
+      }));
   (*registry.Find("x"))(cdd::testing::PaperExampleCdd(), EngineOptions{});
   EXPECT_EQ(calls, 1);  // replaced, old adapter not called again
 }

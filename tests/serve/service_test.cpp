@@ -11,12 +11,15 @@
 #include <thread>
 #include <vector>
 
+#include "common/fn_engine.hpp"
 #include "common/test_instances.hpp"
 #include "core/sequence.hpp"
 #include "orlib/biskup_feldmann.hpp"
 
 namespace cdd::serve {
 namespace {
+
+using cdd::testing::FnFactory;
 
 using std::chrono::milliseconds;
 
@@ -237,21 +240,22 @@ TEST(SolverService, DeadlineExpiredWhileQueuedSkipsTheSolve) {
   // ever running its engine.
   std::atomic<bool> release{false};
   EngineRegistry registry;
-  registry.Register("slow", [&release](const Instance&,
-                                       const EngineOptions& options) {
-    while (!release.load() && !options.stop.stop_requested()) {
-      std::this_thread::sleep_for(milliseconds(1));
-    }
-    EngineRun run;
-    run.result.best = {0};
-    run.result.stopped = options.stop.stop_requested();
-    return run;
-  });
-  registry.Register("never-runs", [](const Instance&,
-                                     const EngineOptions&) {
-    ADD_FAILURE() << "expired-in-queue request must not reach its engine";
-    return EngineRun{};
-  });
+  registry.RegisterFactory(
+      "slow", FnFactory([&release](const Instance&,
+                                   const EngineOptions& options) {
+        while (!release.load() && !options.stop.stop_requested()) {
+          std::this_thread::sleep_for(milliseconds(1));
+        }
+        EngineRun run;
+        run.result.best = {0};
+        run.result.stopped = options.stop.stop_requested();
+        return run;
+      }));
+  registry.RegisterFactory(
+      "never-runs", FnFactory([](const Instance&, const EngineOptions&) {
+        ADD_FAILURE() << "expired-in-queue request must not reach its engine";
+        return EngineRun{};
+      }));
 
   SolverService service(
       ServiceConfig{.workers = 1, .cache_capacity = 0}, registry);
@@ -282,15 +286,16 @@ TEST(SolverService, DeadlineExpiredWhileQueuedSkipsTheSolve) {
 TEST(SolverService, FullQueueRejectsSynchronously) {
   std::atomic<bool> release{false};
   EngineRegistry registry;
-  registry.Register("slow", [&release](const Instance&,
-                                       const EngineOptions& options) {
-    while (!release.load() && !options.stop.stop_requested()) {
-      std::this_thread::sleep_for(milliseconds(1));
-    }
-    EngineRun run;
-    run.result.best = {0};
-    return run;
-  });
+  registry.RegisterFactory(
+      "slow", FnFactory([&release](const Instance&,
+                                   const EngineOptions& options) {
+        while (!release.load() && !options.stop.stop_requested()) {
+          std::this_thread::sleep_for(milliseconds(1));
+        }
+        EngineRun run;
+        run.result.best = {0};
+        return run;
+      }));
 
   SolverService service(
       ServiceConfig{.workers = 1, .queue_capacity = 2, .cache_capacity = 0},
@@ -359,18 +364,18 @@ TEST(SolverService, CancelAllStopsBusyWorkersAndAnswersEveryFuture) {
   // everything still queued with kShutdown — no future may hang.
   EngineRegistry registry;
   std::atomic<int> started{0};
-  registry.Register("hang-until-stopped",
-                    [&started](const Instance&,
-                               const EngineOptions& options) {
-                      started.fetch_add(1);
-                      while (!options.stop.stop_requested()) {
-                        std::this_thread::sleep_for(milliseconds(1));
-                      }
-                      EngineRun run;
-                      run.result.best = {0};
-                      run.result.stopped = true;
-                      return run;
-                    });
+  registry.RegisterFactory(
+      "hang-until-stopped", FnFactory([&started](const Instance&,
+                                                 const EngineOptions& options) {
+        started.fetch_add(1);
+        while (!options.stop.stop_requested()) {
+          std::this_thread::sleep_for(milliseconds(1));
+        }
+        EngineRun run;
+        run.result.best = {0};
+        run.result.stopped = true;
+        return run;
+      }));
 
   SolverService service(
       ServiceConfig{.workers = 2, .cache_capacity = 0}, registry);
