@@ -16,12 +16,13 @@
 ///     or another ensemble shape — are rejected), and
 ///   * the memoized FinishGpu and its GpuRunResult -> EngineOutput form.
 ///
-/// An engine derives from DeviceEngine, validates its own parameters,
-/// calls Upload(), allocates its buffers, declares which of them survive a
-/// checkpoint (KeepAcrossCheckpoints) and where its best row lives
-/// (SetBestRows), seeds the ensemble and launches its init kernels, then
-/// calls InitDone().  Its only virtual hook is RunUnit — the kernels of
-/// one Step unit — called once per unit.
+/// An engine derives from DeviceEngine and allocates its buffers as
+/// members (allocation charges no modeled time).  Its constructor
+/// validates its own parameters, calls Upload(), seeds the ensemble,
+/// declares which buffers survive a checkpoint (KeepAcrossCheckpoints)
+/// and where its best row lives (SetBestRows), launches its init kernels
+/// and ends with InitDone().  Its only virtual hook is RunUnit — the
+/// kernels of one Step unit — called once per unit.
 
 #include <chrono>
 #include <cstdint>
@@ -98,6 +99,7 @@ class DeviceEngine : public meta::Engine {
   /// permutations, or V-shape-seeded ones when \p vshape is set.
   void SeedEnsemble(const Instance& instance, std::uint64_t seed, bool vshape,
                     std::initializer_list<sim::DeviceBuffer<JobId>*> targets);
+  /// Declares what Checkpoint copies out and Restore copies back.
   void KeepAcrossCheckpoints(ResumableState state) { state_ = state; }
   /// Row-major buffer holding each thread's best row; FinishGpu downloads
   /// the packed winner's row from it.  Unset: result_.best is host-tracked.
