@@ -1,10 +1,14 @@
 /// \file bench_micro_rng.cpp
 /// \brief RNG microbenchmarks: Philox4x32-10 (the cuRAND stand-in) vs
-/// xoshiro256**, plus the paper's integer->[0,1] normalization and the
-/// perturbation operator.
+/// xoshiro256**, plus the paper's integer->[0,1] normalization, the
+/// perturbation operator, and the bulk Fill kernels behind BulkPhilox
+/// (registered for each kernel the host CPU can run).
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
+#include "core/cpu_features.hpp"
 #include "core/sequence.hpp"
 #include "rng/philox.hpp"
 
@@ -68,8 +72,52 @@ void BM_FullFisherYates(benchmark::State& state) {
     benchmark::DoNotOptimize(seq.data());
   }
 }
-BENCHMARK(BM_FullFisherYates)->Arg(50)->Arg(1000);
+BENCHMARK(BM_FullFisherYates)->Arg(50)->Arg(100)->Arg(1000);
+
+/// One whole-block Fill kernel over a 256-word buffer (the BulkPhilox
+/// refill size); the `per_output` counter is the time per 32-bit output.
+using FillKernel = decltype(&cdd::rng::detail::PhiloxBlocksPortable);
+
+void BM_PhiloxFill(benchmark::State& state, FillKernel kernel) {
+  std::array<std::uint32_t, 256> buffer{};
+  std::array<std::uint32_t, 4> counter{0, 0, 7, 0};
+  for (auto _ : state) {
+    kernel(counter, {42, 0}, buffer);
+    counter[0] += buffer.size() / 4;
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_output"] = benchmark::Counter(
+      static_cast<double>(buffer.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+/// The Salamon T0 sampling's shuffle: a full Fisher–Yates fed by the
+/// buffered bulk stream instead of one Philox4x32 call per draw.
+void BM_BulkFisherYates(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  cdd::rng::BulkPhilox rng(1, 2);
+  cdd::Sequence seq = cdd::IdentitySequence(n);
+  for (auto _ : state) {
+    cdd::FisherYates(std::span<cdd::JobId>(seq), rng);
+    benchmark::DoNotOptimize(seq.data());
+  }
+}
+BENCHMARK(BM_BulkFisherYates)->Arg(50)->Arg(100);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::RegisterBenchmark("BM_PhiloxFill/portable", BM_PhiloxFill,
+                               &cdd::rng::detail::PhiloxBlocksPortable);
+  if (cdd::core::HostCpuFeatures().avx2) {
+    benchmark::RegisterBenchmark("BM_PhiloxFill/avx2", BM_PhiloxFill,
+                                 &cdd::rng::detail::PhiloxBlocksAvx2);
+  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

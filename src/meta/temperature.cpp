@@ -11,7 +11,9 @@ namespace cdd::meta {
 
 double InitialTemperature(const SequenceObjective& objective,
                           std::uint64_t samples, std::uint64_t seed) {
-  rng::Philox4x32 rng(seed, /*stream=*/0x70DEADBEEFULL);
+  // The buffered stream yields exactly Philox4x32(seed, stream)'s outputs,
+  // with the Philox blocks encrypted in bulk.
+  rng::BulkPhilox rng(seed, /*stream=*/0x70DEADBEEFULL);
   Sequence seq = IdentitySequence(objective.size());
   // Sampling runs in pool-sized chunks: each chunk reshuffles `seq`
   // cumulatively (identical Philox consumption to the one-by-one loop) and

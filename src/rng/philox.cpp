@@ -1,5 +1,14 @@
 #include "rng/philox.hpp"
 
+#include <algorithm>
+
+#include "core/cpu_features.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define CDD_PHILOX_X86 1
+#include <immintrin.h>
+#endif
+
 namespace cdd::rng {
 namespace {
 
@@ -13,20 +22,220 @@ inline std::uint32_t MulHi(std::uint32_t a, std::uint32_t b) {
       (static_cast<std::uint64_t>(a) * b) >> 32);
 }
 
+/// One Philox4x32 round on the counter words (x0, x1, x2, x3).
+inline void PhiloxRound(std::uint32_t& x0, std::uint32_t& x1,
+                        std::uint32_t& x2, std::uint32_t& x3,
+                        std::array<std::uint32_t, 2> key) {
+  const std::uint32_t hi0 = MulHi(kPhiloxM0, x0);
+  const std::uint32_t lo0 = kPhiloxM0 * x0;
+  const std::uint32_t hi1 = MulHi(kPhiloxM1, x2);
+  const std::uint32_t lo1 = kPhiloxM1 * x2;
+  x0 = hi1 ^ x1 ^ key[0];
+  x1 = lo1;
+  x2 = hi0 ^ x3 ^ key[1];
+  x3 = lo0;
+}
+
+/// Blocks per pass of the portable kernel: enough independent multiply
+/// chains to hide the multiplier latency.
+constexpr std::size_t kPortableLanes = 8;
+
+/// One portable pass: kPortableLanes consecutive counters, round by round.
+void PortablePass(std::array<std::uint32_t, 4> ctr,
+                  std::array<std::uint32_t, 2> key, std::uint32_t* out) {
+  std::uint32_t x0[kPortableLanes], x1[kPortableLanes], x2[kPortableLanes],
+      x3[kPortableLanes];
+  for (std::size_t l = 0; l < kPortableLanes; ++l) {
+    x0[l] = ctr[0] + static_cast<std::uint32_t>(l);
+    x1[l] = ctr[1];
+    x2[l] = ctr[2];
+    x3[l] = ctr[3];
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (std::size_t l = 0; l < kPortableLanes; ++l) {
+      PhiloxRound(x0[l], x1[l], x2[l], x3[l], key);
+    }
+    key[0] += kPhiloxW0;
+    key[1] += kPhiloxW1;
+  }
+  for (std::size_t l = 0; l < kPortableLanes; ++l) {
+    out[4 * l] = x0[l];
+    out[4 * l + 1] = x1[l];
+    out[4 * l + 2] = x2[l];
+    out[4 * l + 3] = x3[l];
+  }
+}
+
+#if defined(CDD_PHILOX_X86)
+
+/// Blocks per AVX2 pass: two interleaved sets of eight 32-bit lanes.
+constexpr std::size_t kAvx2Blocks = 16;
+
+/// Eight blocks, one per 32-bit lane, as four counter-word registers.
+struct Lanes8 {
+  __m256i x0, x1, x2, x3;
+};
+
+/// 32x32 -> 64-bit products of every lane with \p m: vpmuludq multiplies
+/// the even lanes, the odd lanes are shifted down for a second multiply,
+/// and blends put each half back in its lane.
+__attribute__((target("avx2"))) inline void MulLanes(__m256i x, __m256i m,
+                                                     __m256i& hi,
+                                                     __m256i& lo) {
+  const __m256i even = _mm256_mul_epu32(x, m);
+  const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), m);
+  lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+  hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+}
+
+__attribute__((target("avx2"))) inline void Avx2Round(Lanes8& s,
+                                                      __m256i k0,
+                                                      __m256i k1) {
+  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(kPhiloxM0));
+  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(kPhiloxM1));
+  __m256i hi0, lo0, hi1, lo1;
+  MulLanes(s.x0, m0, hi0, lo0);
+  MulLanes(s.x2, m1, hi1, lo1);
+  s.x0 = _mm256_xor_si256(_mm256_xor_si256(hi1, s.x1), k0);
+  s.x1 = lo1;
+  s.x2 = _mm256_xor_si256(_mm256_xor_si256(hi0, s.x3), k1);
+  s.x3 = lo0;
+}
+
+/// Transposes the eight blocks of \p s back to stream order (four words
+/// per block) and stores them to out[0 .. 31].
+__attribute__((target("avx2"))) inline void StoreLanes8(const Lanes8& s,
+                                                        std::uint32_t* out) {
+  const __m256i a = _mm256_unpacklo_epi32(s.x0, s.x1);  // b0 b1 | b4 b5
+  const __m256i b = _mm256_unpacklo_epi32(s.x2, s.x3);
+  const __m256i c = _mm256_unpackhi_epi32(s.x0, s.x1);  // b2 b3 | b6 b7
+  const __m256i d = _mm256_unpackhi_epi32(s.x2, s.x3);
+  const __m256i b04 = _mm256_unpacklo_epi64(a, b);
+  const __m256i b15 = _mm256_unpackhi_epi64(a, b);
+  const __m256i b26 = _mm256_unpacklo_epi64(c, d);
+  const __m256i b37 = _mm256_unpackhi_epi64(c, d);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permute2x128_si256(b04, b15, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
+                      _mm256_permute2x128_si256(b26, b37, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 16),
+                      _mm256_permute2x128_si256(b04, b15, 0x31));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 24),
+                      _mm256_permute2x128_si256(b26, b37, 0x31));
+}
+
+/// One AVX2 pass: kAvx2Blocks consecutive counters to out[0 .. 63].
+__attribute__((target("avx2"))) void Avx2Pass(
+    std::array<std::uint32_t, 4> ctr, std::array<std::uint32_t, 2> key,
+    std::uint32_t* out) {
+  const __m256i base = _mm256_set1_epi32(static_cast<int>(ctr[0]));
+  const __m256i c1 = _mm256_set1_epi32(static_cast<int>(ctr[1]));
+  const __m256i c2 = _mm256_set1_epi32(static_cast<int>(ctr[2]));
+  const __m256i c3 = _mm256_set1_epi32(static_cast<int>(ctr[3]));
+  Lanes8 a{_mm256_add_epi32(base, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+           c1, c2, c3};
+  Lanes8 b{_mm256_add_epi32(base,
+                            _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
+           c1, c2, c3};
+  for (int round = 0; round < 10; ++round) {
+    const __m256i k0 = _mm256_set1_epi32(static_cast<int>(key[0]));
+    const __m256i k1 = _mm256_set1_epi32(static_cast<int>(key[1]));
+    Avx2Round(a, k0, k1);
+    Avx2Round(b, k0, k1);
+    key[0] += kPhiloxW0;
+    key[1] += kPhiloxW1;
+  }
+  StoreLanes8(a, out);
+  StoreLanes8(b, out + 32);
+}
+
+#endif  // CDD_PHILOX_X86
+
 }  // namespace
 
 std::array<std::uint32_t, 4> Philox4x32Block(
     std::array<std::uint32_t, 4> ctr, std::array<std::uint32_t, 2> key) {
   for (int round = 0; round < 10; ++round) {
-    const std::uint32_t hi0 = MulHi(kPhiloxM0, ctr[0]);
-    const std::uint32_t lo0 = kPhiloxM0 * ctr[0];
-    const std::uint32_t hi1 = MulHi(kPhiloxM1, ctr[2]);
-    const std::uint32_t lo1 = kPhiloxM1 * ctr[2];
-    ctr = {hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0};
+    PhiloxRound(ctr[0], ctr[1], ctr[2], ctr[3], key);
     key[0] += kPhiloxW0;
     key[1] += kPhiloxW1;
   }
   return ctr;
+}
+
+namespace detail {
+
+void PhiloxBlocksPortable(std::array<std::uint32_t, 4> counter,
+                          std::array<std::uint32_t, 2> key,
+                          std::span<std::uint32_t> out) {
+  std::size_t i = 0;
+  for (; out.size() - i >= 4 * kPortableLanes; i += 4 * kPortableLanes) {
+    PortablePass(counter, key, out.data() + i);
+    counter[0] += static_cast<std::uint32_t>(kPortableLanes);
+  }
+  for (; i < out.size(); i += 4) {
+    const auto block = Philox4x32Block(counter, key);
+    std::copy(block.begin(), block.end(), out.begin() + i);
+    ++counter[0];
+  }
+}
+
+void PhiloxBlocksAvx2(std::array<std::uint32_t, 4> counter,
+                      std::array<std::uint32_t, 2> key,
+                      std::span<std::uint32_t> out) {
+  std::size_t i = 0;
+#if defined(CDD_PHILOX_X86)
+  for (; out.size() - i >= 4 * kAvx2Blocks; i += 4 * kAvx2Blocks) {
+    Avx2Pass(counter, key, out.data() + i);
+    counter[0] += static_cast<std::uint32_t>(kAvx2Blocks);
+  }
+#endif
+  PhiloxBlocksPortable(counter, key, out.subspan(i));
+}
+
+}  // namespace detail
+
+void Philox4x32::Fill(std::span<std::uint32_t> out) {
+  // 1. The rest of the current block.
+  std::size_t i = 0;
+  while (index_ < 4 && i < out.size()) out[i++] = block_[index_++];
+  if (i == out.size()) return;
+
+  // 2. Whole blocks in bulk.  The kernels hold counter words 1-3 fixed, so
+  // a run stops short of a word-0 wrap and the block at the wrap goes
+  // through AdvanceCounter's carry on its own.
+  const bool avx2 = core::HostCpuFeatures().avx2;
+  std::size_t whole = (out.size() - i) / 4;
+  while (whole > 0) {
+    const std::size_t room = 0xffffffffu - counter_[0];
+    if (room == 0) {
+      block_ = Philox4x32Block(counter_, key_);
+      AdvanceCounter();
+      std::copy(block_.begin(), block_.end(), out.begin() + i);
+      i += 4;
+      --whole;
+      continue;
+    }
+    const std::size_t blocks = std::min(whole, room);
+    const std::span<std::uint32_t> run = out.subspan(i, 4 * blocks);
+    if (avx2) {
+      detail::PhiloxBlocksAvx2(counter_, key_, run);
+    } else {
+      detail::PhiloxBlocksPortable(counter_, key_, run);
+    }
+    counter_[0] += static_cast<std::uint32_t>(blocks);
+    std::copy(run.end() - 4, run.end(), block_.begin());
+    i += run.size();
+    whole -= blocks;
+  }
+
+  // 3. The tail, leaving a partly consumed block.
+  if (i < out.size()) {
+    block_ = Philox4x32Block(counter_, key_);
+    AdvanceCounter();
+    index_ = 0;
+    while (i < out.size()) out[i++] = block_[index_++];
+  }
 }
 
 void Xoshiro256::LongJump() {

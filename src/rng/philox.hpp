@@ -12,10 +12,16 @@
 /// Being counter-based also makes runs bit-for-bit reproducible regardless
 /// of how the simulator schedules blocks, which the determinism tests rely
 /// on.
+///
+/// Host loops that draw many outputs at once go through
+/// Philox4x32::Fill or the buffered BulkPhilox adaptor, which encrypt
+/// whole blocks several at a time and yield exactly the same stream.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 namespace cdd::rng {
 
@@ -87,6 +93,26 @@ class Xoshiro256 {
 std::array<std::uint32_t, 4> Philox4x32Block(
     std::array<std::uint32_t, 4> counter, std::array<std::uint32_t, 2> key);
 
+namespace detail {
+
+/// The whole-block kernels behind Philox4x32::Fill, exposed so the tests
+/// can compare them directly.  Each writes Philox4x32Block of the counters
+/// (counter[0] + b, counter[1], counter[2], counter[3]) to
+/// out[4b .. 4b+3] for every b < out.size() / 4; out.size() must be a
+/// multiple of 4 and counter[0] + out.size() / 4 must not exceed
+/// 0xffffffff, so word 0 never carries.  The portable kernel runs 8
+/// interleaved blocks per pass; the AVX2 kernel runs 16 and may only be
+/// called when core::HostCpuFeatures().avx2 holds (on builds for other
+/// architectures it forwards to the portable kernel).
+void PhiloxBlocksPortable(std::array<std::uint32_t, 4> counter,
+                          std::array<std::uint32_t, 2> key,
+                          std::span<std::uint32_t> out);
+void PhiloxBlocksAvx2(std::array<std::uint32_t, 4> counter,
+                      std::array<std::uint32_t, 2> key,
+                      std::span<std::uint32_t> out);
+
+}  // namespace detail
+
 /// \brief Philox4x32-10 stream generator.
 ///
 /// Constructed from (seed, stream): the seed keys the cipher, the stream id
@@ -117,6 +143,13 @@ class Philox4x32 {
     return block_[index_++];
   }
 
+  /// Writes the next out.size() outputs, exactly the values that many
+  /// operator() calls would return, and leaves the generator in the state
+  /// those calls would leave.  Whole blocks are encrypted in bulk, through
+  /// the AVX2 kernel when the host has it; both kernels yield the same
+  /// integers.
+  void Fill(std::span<std::uint32_t> out);
+
   /// Jumps to absolute position \p n in the stream (counts 32-bit outputs).
   /// O(1): counter-based generators are randomly addressable.
   void Seek(std::uint64_t n) {
@@ -138,6 +171,8 @@ class Philox4x32 {
   /// Next uniform float in (0, 1].
   float NextUniform() { return ToUniformFloat((*this)()); }
 
+  friend bool operator==(const Philox4x32&, const Philox4x32&) = default;
+
  private:
   void AdvanceCounter() {
     if (++counter_[0] == 0 && ++counter_[1] == 0 && ++counter_[2] == 0) {
@@ -149,6 +184,40 @@ class Philox4x32 {
   std::array<std::uint32_t, 4> counter_;
   std::array<std::uint32_t, 4> block_{};
   unsigned index_ = 4;
+};
+
+/// \brief Buffered Philox4x32 stream for host loops that draw many outputs.
+///
+/// Yields exactly the outputs of Philox4x32(seed, stream), refilling a
+/// 256-word buffer through Philox4x32::Fill.  Satisfies
+/// std::uniform_random_bit_generator, so FisherYates and the other
+/// sequence operators consume it unchanged.  Philox4x32 itself stays
+/// small: cudasim builds one per simulated thread and the annealing
+/// checkpoints copy it.
+class BulkPhilox {
+ public:
+  using result_type = std::uint32_t;
+
+  explicit BulkPhilox(std::uint64_t seed, std::uint64_t stream = 0)
+      : rng_(seed, stream) {}
+
+  static constexpr result_type min() { return Philox4x32::min(); }
+  static constexpr result_type max() { return Philox4x32::max(); }
+
+  result_type operator()() {
+    if (next_ == buffer_.size()) {
+      rng_.Fill(buffer_);
+      next_ = 0;
+    }
+    return buffer_[next_++];
+  }
+
+ private:
+  static constexpr std::size_t kBufferWords = 256;
+
+  Philox4x32 rng_;
+  std::array<std::uint32_t, kBufferWords> buffer_{};
+  std::size_t next_ = kBufferWords;
 };
 
 }  // namespace cdd::rng

@@ -1,5 +1,6 @@
 /// Philox4x32-10 and companion generator tests: known-answer vectors,
-/// stream independence, random access, and uniformity.
+/// stream independence, random access, uniformity, and the bulk Fill path
+/// (which must reproduce operator() output for output, state included).
 
 #include "rng/philox.hpp"
 
@@ -9,6 +10,8 @@
 #include <cmath>
 #include <set>
 #include <vector>
+
+#include "core/cpu_features.hpp"
 
 namespace cdd::rng {
 namespace {
@@ -111,6 +114,129 @@ TEST(Philox, MonobitBalance) {
   }
   const double mean = static_cast<double>(bits) / (kWords * 32.0);
   EXPECT_NEAR(mean, 0.5, 0.002);
+}
+
+// Bulk consumers must not change the footprint cudasim and the annealing
+// checkpoints pay per generator: key, counter, block and index.
+static_assert(sizeof(Philox4x32) == 11 * sizeof(std::uint32_t));
+
+/// The next \p count outputs of \p rng, one operator() call each.
+std::vector<std::uint32_t> Draw(Philox4x32& rng, std::size_t count) {
+  std::vector<std::uint32_t> out(count);
+  for (std::uint32_t& v : out) v = rng();
+  return out;
+}
+
+constexpr std::size_t kFillLengths[] = {0, 1, 3, 4, 5, 63, 64, 65, 1000};
+
+TEST(PhiloxFill, MatchesOperatorFromEveryOffsetAndLeavesTheSameState) {
+  for (unsigned offset = 0; offset < 4; ++offset) {
+    for (const std::size_t length : kFillLengths) {
+      Philox4x32 bulk(77, 5);
+      Philox4x32 twin(77, 5);
+      Draw(bulk, offset);
+      Draw(twin, offset);
+      std::vector<std::uint32_t> filled(length);
+      bulk.Fill(filled);
+      EXPECT_EQ(filled, Draw(twin, length))
+          << "offset " << offset << " length " << length;
+      EXPECT_TRUE(bulk == twin) << "offset " << offset << " length " << length;
+      EXPECT_EQ(Draw(bulk, 9), Draw(twin, 9))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(PhiloxFill, BackToBackFillsMatchSeek) {
+  // Fill in uneven pieces; every output must equal Seek(k) + operator().
+  Philox4x32 bulk(0xfeedULL, 12);
+  std::vector<std::uint32_t> stream;
+  for (const std::size_t length : {3u, 1u, 65u, 0u, 64u, 5u, 1000u, 4u}) {
+    std::vector<std::uint32_t> piece(length);
+    bulk.Fill(piece);
+    stream.insert(stream.end(), piece.begin(), piece.end());
+  }
+  for (std::size_t k = 0; k < stream.size(); ++k) {
+    Philox4x32 seeker(0xfeedULL, 12);
+    seeker.Seek(k);
+    ASSERT_EQ(stream[k], seeker()) << "position " << k;
+  }
+}
+
+TEST(PhiloxFill, CarriesAcrossTheCounterWordZeroWrap) {
+  // Start a few blocks below the word-0 wrap so a 16-block pass would
+  // straddle the carry into word 1, at every in-block offset.
+  for (const std::uint64_t blocks_below : {1ull, 3ull, 15ull, 16ull, 17ull}) {
+    for (unsigned offset = 0; offset < 4; ++offset) {
+      const std::uint64_t start =
+          ((std::uint64_t{7} << 32) - blocks_below) * 4 + offset;
+      Philox4x32 bulk(31, 2);
+      Philox4x32 twin(31, 2);
+      bulk.Seek(start);
+      twin.Seek(start);
+      std::vector<std::uint32_t> filled(1000);
+      bulk.Fill(filled);
+      EXPECT_EQ(filled, Draw(twin, filled.size()))
+          << "blocks below " << blocks_below << " offset " << offset;
+      EXPECT_TRUE(bulk == twin);
+      Philox4x32 seeker(31, 2);
+      seeker.Seek(start + filled.size());
+      EXPECT_EQ(bulk(), seeker());
+    }
+  }
+}
+
+TEST(PhiloxFill, PortableKernelMatchesTheBlockFunction) {
+  const std::array<std::uint32_t, 4> counter{0xfffffe00u, 9, 0xabcdu, 1};
+  const std::array<std::uint32_t, 2> key{0x12345678u, 0x9abcdef0u};
+  for (const std::size_t blocks : {0u, 1u, 7u, 8u, 9u, 16u, 17u, 100u}) {
+    std::vector<std::uint32_t> out(4 * blocks);
+    detail::PhiloxBlocksPortable(counter, key, out);
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const auto expected = Philox4x32Block(
+          {counter[0] + static_cast<std::uint32_t>(b), counter[1],
+           counter[2], counter[3]},
+          key);
+      for (std::size_t w = 0; w < 4; ++w) {
+        ASSERT_EQ(out[4 * b + w], expected[w])
+            << "blocks " << blocks << " block " << b;
+      }
+    }
+  }
+}
+
+TEST(PhiloxFill, Avx2KernelMatchesPortableKernel) {
+  if (!core::HostCpuFeatures().avx2) {
+    GTEST_SKIP() << "host CPU has no AVX2";
+  }
+  const std::array<std::array<std::uint32_t, 4>, 3> counters{{
+      {0, 0, 0, 0},
+      {0xffffff00u, 0xffffffffu, 0xffffffffu, 0xffffffffu},
+      {0x01234567u, 0x89abcdefu, 0x0badf00du, 0xdeadbeefu},
+  }};
+  const std::array<std::array<std::uint32_t, 2>, 3> keys{{
+      {0, 0}, {0xffffffffu, 0xffffffffu}, {0x5eedu, 0x70deadbeu}}};
+  for (const auto& counter : counters) {
+    for (const auto& key : keys) {
+      for (const std::size_t blocks : {0u, 1u, 15u, 16u, 17u, 33u, 64u}) {
+        std::vector<std::uint32_t> avx2(4 * blocks);
+        std::vector<std::uint32_t> portable(4 * blocks);
+        detail::PhiloxBlocksAvx2(counter, key, avx2);
+        detail::PhiloxBlocksPortable(counter, key, portable);
+        EXPECT_EQ(avx2, portable) << "blocks " << blocks;
+      }
+    }
+  }
+}
+
+TEST(BulkPhilox, YieldsThePhiloxStream) {
+  for (const std::uint64_t seed : {0ull, 42ull, ~0ull}) {
+    BulkPhilox bulk(seed, 0x70DEADBEEFULL);
+    Philox4x32 twin(seed, 0x70DEADBEEFULL);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(bulk(), twin()) << "seed " << seed << " draw " << i;
+    }
+  }
 }
 
 TEST(SplitMix64, KnownFirstOutputs) {

@@ -50,16 +50,24 @@ TEST(EventRingStress, ConcurrentProducersKeepIndependentDropCounts) {
     });
   }
 
-  // Reader side: counters must be monotonic while producers are live.
+  // Reader side: counters must be monotonic while producers are live.  The
+  // producer can push between two loads, so dropped() is bracketed by the
+  // drop counts implied by written() read just before and just after it.
+  const auto implied_drops = [](std::uint64_t w) {
+    return w > kCapacity ? w - kCapacity : 0;
+  };
   std::vector<std::uint64_t> last_written(kThreads, 0);
   while (running.load(std::memory_order_relaxed) != 0) {
     for (unsigned i = 0; i < kThreads; ++i) {
-      const std::uint64_t w = rings[i]->written();
-      EXPECT_GE(w, last_written[i]);
-      EXPECT_LE(w, kEvents);
-      last_written[i] = w;
+      const std::uint64_t w1 = rings[i]->written();
       const std::uint64_t d = rings[i]->dropped();
-      EXPECT_EQ(d, w > kCapacity ? w - kCapacity : 0);
+      const std::uint64_t w2 = rings[i]->written();
+      EXPECT_GE(w1, last_written[i]);
+      EXPECT_GE(w2, w1);
+      EXPECT_LE(w2, kEvents);
+      last_written[i] = w2;
+      EXPECT_GE(d, implied_drops(w1));
+      EXPECT_LE(d, implied_drops(w2));
     }
   }
   for (std::thread& t : workers) t.join();
