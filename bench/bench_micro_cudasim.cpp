@@ -38,6 +38,36 @@ void BM_CooperativeBarrierKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CooperativeBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
 
+/// The paper's fitness-kernel geometry (Section VI-A): 4 blocks x 192
+/// threads staging through shared memory behind one barrier.
+void LaunchPaperGeometry(Device& gpu) {
+  LaunchOptions opts;
+  opts.cooperative = true;
+  gpu.Launch({4}, {192}, opts, [](ThreadCtx& t) { t.syncthreads(); });
+}
+
+void BM_CooperativePaperGeometry(benchmark::State& state) {
+  Device gpu;
+  for (auto _ : state) {
+    LaunchPaperGeometry(gpu);
+  }
+  benchmark::DoNotOptimize(gpu.sim_time_s());
+  state.SetItemsProcessed(state.iterations() * 4 * 192);
+}
+BENCHMARK(BM_CooperativePaperGeometry);
+
+void BM_CooperativePaperGeometryFreshDevice(benchmark::State& state) {
+  // A serve worker builds a new Device per psa request, so this is the
+  // per-request cost of the first launch.
+  for (auto _ : state) {
+    Device gpu;
+    LaunchPaperGeometry(gpu);
+    benchmark::DoNotOptimize(gpu.sim_time_s());
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * 192);
+}
+BENCHMARK(BM_CooperativePaperGeometryFreshDevice);
+
 void BM_AtomicMinReduction(benchmark::State& state) {
   Device gpu;
   std::int64_t best = 1 << 30;

@@ -5,9 +5,18 @@
 /// A thread block with `__syncthreads()` needs every one of its threads to
 /// be suspendable at the barrier.  OS threads would be far too heavy (the
 /// paper's configuration alone is 4 blocks x 192 threads); instead each
-/// simulated thread is a ucontext fiber that the BlockRunner schedules
-/// cooperatively on one host thread.  Fibers are pooled and reused across
-/// blocks, so steady-state execution performs no allocation.
+/// simulated thread is a fiber that the block runner schedules
+/// cooperatively on one host thread.
+///
+/// On x86-64 a switch is a small assembly routine that saves the
+/// callee-saved registers, MXCSR and the x87 control word and swaps the
+/// stack pointer: no syscall, no signal-mask change.  Other targets use
+/// ucontext, chosen at compile time.  Each stack is an `mmap` with a
+/// `PROT_NONE` guard page below it, so its pages are committed only when
+/// touched and an overflow faults.  A fiber's entry frame is built once;
+/// its entry function loops over the bodies Reset installs, so fibers are
+/// pooled and reused across blocks and launches without allocation.  Under
+/// ASan and TSan every switch is announced to the sanitizer.
 
 #include <cstddef>
 #include <functional>
@@ -25,9 +34,10 @@ namespace cdd::sim {
 /// lifetime (no thread-local state survives a yield).
 class Fiber {
  public:
-  /// \param stack_bytes size of the private stack (rounded up to page-ish
-  /// granularity).  64 KiB comfortably fits the O(n) evaluators, which are
-  /// iterative and allocation-free.
+  /// \param stack_bytes size of the private stack (at least 16 KiB, rounded
+  /// up to whole pages; a guard page is added below it).  64 KiB
+  /// comfortably fits the O(n) evaluators, which are iterative and
+  /// allocation-free.
   explicit Fiber(std::size_t stack_bytes = 64 * 1024);
   ~Fiber();
 
@@ -51,7 +61,7 @@ class Fiber {
   /// Rethrows an exception that escaped the fiber body, if any.
   void RethrowIfFailed();
 
-  struct Impl;  // public so the ucontext trampoline can reach it
+  struct Impl;  // public so the fiber entry function can reach it
 
  private:
   std::unique_ptr<Impl> impl_;
