@@ -1,15 +1,24 @@
 /// \file bench_micro_rng.cpp
 /// \brief RNG microbenchmarks: Philox4x32-10 (the cuRAND stand-in) vs
 /// xoshiro256**, plus the paper's integer->[0,1] normalization, the
-/// perturbation operator, and the bulk Fill kernels behind BulkPhilox
-/// (registered for each kernel the host CPU can run).
+/// perturbation operator, the bulk Fill kernels behind BulkPhilox
+/// (registered for each kernel the host CPU can run), and the DPSO's
+/// random-cut crossovers and whole generation.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 
+#include <cstdint>
+#include <memory>
+#include <vector>
+
 #include "core/cpu_features.hpp"
 #include "core/sequence.hpp"
+#include "meta/dpso.hpp"
+#include "meta/objective.hpp"
+#include "meta/ops.hpp"
+#include "orlib/biskup_feldmann.hpp"
 #include "rng/philox.hpp"
 
 namespace {
@@ -105,6 +114,56 @@ void BM_BulkFisherYates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BulkFisherYates)->Arg(50)->Arg(100);
+
+/// The DPSO's F2 and F3 on two fixed random parents, cut points drawn per
+/// call, writing into the caller-owned child and job marks the engines
+/// reuse.
+void BM_OnePointCrossover(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  cdd::rng::Philox4x32 rng(3, 4);
+  const cdd::Sequence p1 = cdd::RandomSequence(n, rng);
+  const cdd::Sequence p2 = cdd::RandomSequence(n, rng);
+  cdd::Sequence child(n);
+  std::vector<std::uint8_t> used(n);
+  for (auto _ : state) {
+    cdd::meta::OnePointCrossover(p1, p2, rng, child, used);
+    benchmark::DoNotOptimize(child.data());
+  }
+}
+BENCHMARK(BM_OnePointCrossover)->Arg(100);
+
+void BM_TwoPointCrossover(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  cdd::rng::Philox4x32 rng(3, 4);
+  const cdd::Sequence p1 = cdd::RandomSequence(n, rng);
+  const cdd::Sequence p2 = cdd::RandomSequence(n, rng);
+  cdd::Sequence child(n);
+  std::vector<std::uint8_t> used(n);
+  for (auto _ : state) {
+    cdd::meta::TwoPointCrossover(p1, p2, rng, child, used);
+    benchmark::DoNotOptimize(child.data());
+  }
+}
+BENCHMARK(BM_TwoPointCrossover)->Arg(100);
+
+/// One generation of the serial DPSO (64 particles, default w/c1/c2) on
+/// Biskup–Feldmann CDD instance (n, 0) at h = 0.6: the operators, the
+/// batch evaluation and the best updates, without swarm initialization.
+void BM_DpsoGeneration(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const cdd::Instance instance =
+      cdd::orlib::BiskupFeldmannGenerator().Cdd(n, 0, 0.6);
+  const auto objective = cdd::meta::SequenceObjective::ForInstance(instance);
+  cdd::meta::DpsoParams params;
+  params.iterations = std::uint64_t{1} << 40;
+  params.swarm = 64;
+  const std::unique_ptr<cdd::meta::Engine> engine =
+      cdd::meta::MakeDpsoEngine(objective, params);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->Step(1));
+  }
+}
+BENCHMARK(BM_DpsoGeneration)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

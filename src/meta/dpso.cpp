@@ -49,7 +49,9 @@ class DpsoEngine final : public Engine {
       : objective_(objective),
         params_(params),
         rng_(params.seed, /*stream=*/0xd9500ULL),
-        lease_(params.pool, objective.size(), params.swarm) {
+        lease_(params.pool, objective.size(), params.swarm),
+        child_(objective.size()),
+        used_(objective.size()) {
     const auto t_start = Clock::now();
     const std::size_t n = objective_.size();
 
@@ -85,7 +87,6 @@ class DpsoEngine final : public Engine {
     CDD_TRACE_SPAN("meta.dpso");
     const auto t_start = Clock::now();
     CandidatePool& pool = *lease_;
-    Sequence scratch;
     const std::uint64_t end =
         generation_ +
         std::min<std::uint64_t>(units, params_.iterations - generation_);
@@ -106,15 +107,15 @@ class DpsoEngine final : public Engine {
         }
         // c1 (+) F2: one-point crossover with the particle best.
         if (rng_.NextUniform() < params_.c1) {
-          OnePointCrossover(p.position, p.best, rng_, scratch);
-          p.position.swap(scratch);
+          OnePointCrossover(p.position, p.best, rng_, child_, used_);
+          p.position.swap(child_);
         }
         // c2 (+) F3: two-point crossover with the swarm best.  p.best and
         // result.best are read-only within a generation (personal bests
         // and g(t) update below), so staging the evaluation is order-safe.
         if (rng_.NextUniform() < params_.c2) {
-          TwoPointCrossover(p.position, result_.best, rng_, scratch);
-          p.position.swap(scratch);
+          TwoPointCrossover(p.position, result_.best, rng_, child_, used_);
+          p.position.swap(child_);
         }
         pool.Append(p.position);
       }
@@ -188,6 +189,10 @@ class DpsoEngine final : public Engine {
   DpsoParams params_;
   rng::Philox4x32 rng_;
   PoolLease lease_;
+  // Crossover scratch, sized once: the child swaps with a particle's
+  // position, so every Sequence keeps its n slots across Steps.
+  Sequence child_;
+  std::vector<std::uint8_t> used_;
   std::vector<Particle> swarm_;
   std::uint64_t generation_ = 0;
   RunResult result_;

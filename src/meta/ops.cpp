@@ -1,56 +1,36 @@
 #include "meta/ops.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cdd::meta {
-namespace {
-
-/// Fills every position of \p child that is not marked used, left to right,
-/// with the jobs of \p donor not in \p used, in donor order.
-void FillFromDonor(std::span<const JobId> donor, Sequence& child,
-                   std::vector<bool>& used_job,
-                   std::vector<bool>& used_pos) {
-  std::size_t write = 0;
-  for (const JobId job : donor) {
-    if (used_job[static_cast<std::size_t>(job)]) continue;
-    while (write < child.size() && used_pos[write]) ++write;
-    assert(write < child.size());
-    child[write] = job;
-    used_pos[write] = true;
-    used_job[static_cast<std::size_t>(job)] = true;
-  }
-}
-
-}  // namespace
 
 void OnePointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       std::size_t cut, Sequence& child) {
-  const std::size_t n = p1.size();
-  assert(p2.size() == n && cut <= n);
-  child.resize(n);
-  std::vector<bool> used_job(n, false);
-  std::vector<bool> used_pos(n, false);
-  for (std::size_t k = 0; k < cut; ++k) {
-    child[k] = p1[k];
-    used_pos[k] = true;
-    used_job[static_cast<std::size_t>(p1[k])] = true;
-  }
-  FillFromDonor(p2, child, used_job, used_pos);
+                       std::size_t cut, std::span<JobId> child,
+                       std::span<std::uint8_t> used) {
+  TwoPointCrossover(p1, p2, 0, cut, child, used);
 }
 
 void TwoPointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       std::size_t a, std::size_t b, Sequence& child) {
+                       std::size_t a, std::size_t b, std::span<JobId> child,
+                       std::span<std::uint8_t> used) {
   const std::size_t n = p1.size();
-  assert(p2.size() == n && a <= b && b <= n);
-  child.resize(n);
-  std::vector<bool> used_job(n, false);
-  std::vector<bool> used_pos(n, false);
+  assert(p2.size() == n && child.size() == n && used.size() >= n);
+  assert(a <= b && b <= n);
+  std::fill_n(used.begin(), n, std::uint8_t{0});
   for (std::size_t k = a; k < b; ++k) {
     child[k] = p1[k];
-    used_pos[k] = true;
-    used_job[static_cast<std::size_t>(p1[k])] = true;
+    used[static_cast<std::size_t>(p1[k])] = 1;
   }
-  FillFromDonor(p2, child, used_job, used_pos);
+  // The n - (b - a) unmarked jobs of p2, in order, fill [0, a) then [b, n).
+  const JobId* donor = p2.data();
+  const auto fill = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++donor) {
+      if (!used[static_cast<std::size_t>(*donor)]) child[k++] = *donor;
+    }
+  };
+  fill(0, a);
+  fill(b, n);
 }
 
 }  // namespace cdd::meta

@@ -9,42 +9,51 @@
 /// Both crossovers preserve permutation validity: positions taken from the
 /// first parent keep their place, every remaining job enters in the order it
 /// appears in the second parent.
+///
+/// This is the only implementation: the serial DpsoEngine and the parallel
+/// DPSO's update kernel both call it.  Neither allocates; the caller owns
+/// the child (n slots, not aliasing a parent) and \p used, n bytes of
+/// job-mark scratch whose contents on entry do not matter.
 
+#include <cstdint>
 #include <random>
 #include <span>
-#include <vector>
 
 #include "core/sequence.hpp"
 
 namespace cdd::meta {
 
 /// One-point crossover: child = p1[0..cut) ++ (jobs missing, in p2 order).
-/// \p cut must be in [0, n].  Writes into \p child (resized to n).
+/// \p cut must be in [0, n].
 void OnePointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       std::size_t cut, Sequence& child);
+                       std::size_t cut, std::span<JobId> child,
+                       std::span<std::uint8_t> used);
 
-/// Two-point crossover: child keeps p1[a..b) in place; all other positions
-/// are filled left to right with the remaining jobs in p2 order.
+/// Two-point crossover: child keeps p1[a..b) in place; positions [0, a)
+/// then [b, n) are filled with the remaining jobs in p2 order.
 /// Requires 0 <= a <= b <= n.
 void TwoPointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       std::size_t a, std::size_t b, Sequence& child);
+                       std::size_t a, std::size_t b, std::span<JobId> child,
+                       std::span<std::uint8_t> used);
 
-/// Randomized convenience wrappers drawing the cut points uniformly.
+/// Randomized forms drawing the cut points uniformly from [0, n].
 template <std::uniform_random_bit_generator Rng>
 void OnePointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       Rng& rng, Sequence& child) {
+                       Rng& rng, std::span<JobId> child,
+                       std::span<std::uint8_t> used) {
   const auto n = static_cast<std::uint32_t>(p1.size());
-  OnePointCrossover(p1, p2, UniformBelow(rng, n + 1), child);
+  OnePointCrossover(p1, p2, UniformBelow(rng, n + 1), child, used);
 }
 
 template <std::uniform_random_bit_generator Rng>
 void TwoPointCrossover(std::span<const JobId> p1, std::span<const JobId> p2,
-                       Rng& rng, Sequence& child) {
+                       Rng& rng, std::span<JobId> child,
+                       std::span<std::uint8_t> used) {
   const auto n = static_cast<std::uint32_t>(p1.size());
   std::uint32_t a = UniformBelow(rng, n + 1);
   std::uint32_t b = UniformBelow(rng, n + 1);
   if (a > b) std::swap(a, b);
-  TwoPointCrossover(p1, p2, a, b, child);
+  TwoPointCrossover(p1, p2, a, b, child, used);
 }
 
 }  // namespace cdd::meta

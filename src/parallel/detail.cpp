@@ -255,7 +255,7 @@ void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
       raw::PerturbRaw(dst, n, pert, rng, positions, values);
       t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
     } else {
-      raw::SwapRaw(dst, n, rng);
+      RandomSwap(std::span<JobId>(dst, static_cast<std::size_t>(n)), rng);
       t.charge(static_cast<std::uint64_t>(n) + 2);
     }
   });

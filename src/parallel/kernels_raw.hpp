@@ -1,8 +1,10 @@
 #pragma once
 /// \file kernels_raw.hpp
 /// \brief Allocation-free "device function" helpers shared by the parallel
-/// kernels: per-thread perturbation, crossovers on raw arrays, and the
-/// packed keys of the atomic-min reduction.
+/// kernels: per-thread RNG streams and perturbation, and the packed keys of
+/// the atomic-min reduction.  The DPSO operators are not here: the update
+/// kernel calls the one swap (core/sequence.hpp) and crossover
+/// (meta/ops.hpp) implementation the serial DPSO uses.
 
 #include <cstdint>
 
@@ -68,57 +70,6 @@ inline void PerturbRaw(JobId* seq, std::int32_t n, std::uint32_t pert,
     values[j] = tmp;
   }
   for (std::uint32_t k = 0; k < pert; ++k) seq[positions[k]] = values[k];
-}
-
-/// One-point crossover on raw arrays.  \p used is n bytes of per-thread
-/// scratch; \p child must not alias the parents.
-inline void OnePointCrossoverRaw(std::int32_t n, const JobId* p1,
-                                 const JobId* p2, std::uint32_t cut,
-                                 JobId* child, std::uint8_t* used) {
-  for (std::int32_t i = 0; i < n; ++i) used[i] = 0;
-  for (std::uint32_t k = 0; k < cut; ++k) {
-    child[k] = p1[k];
-    used[p1[k]] = 1;
-  }
-  std::int32_t write = static_cast<std::int32_t>(cut);
-  for (std::int32_t i = 0; i < n && write < n; ++i) {
-    if (!used[p2[i]]) child[write++] = p2[i];
-  }
-}
-
-/// Two-point crossover on raw arrays: child keeps p1[a..b), the remaining
-/// positions (0..a) then [b..n) are filled with p2's leftover jobs in order.
-inline void TwoPointCrossoverRaw(std::int32_t n, const JobId* p1,
-                                 const JobId* p2, std::uint32_t a,
-                                 std::uint32_t b, JobId* child,
-                                 std::uint8_t* used) {
-  for (std::int32_t i = 0; i < n; ++i) used[i] = 0;
-  for (std::uint32_t k = a; k < b; ++k) {
-    child[k] = p1[k];
-    used[p1[k]] = 1;
-  }
-  std::int32_t write = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (used[p2[i]]) continue;
-    if (write == static_cast<std::int32_t>(a)) {
-      write = static_cast<std::int32_t>(b);
-    }
-    if (write >= n) break;
-    child[write++] = p2[i];
-  }
-}
-
-/// Random swap of two distinct positions (DPSO's F1 operator).
-inline void SwapRaw(JobId* seq, std::int32_t n, rng::Philox4x32& rng) {
-  if (n < 2) return;
-  const std::uint32_t i =
-      cdd::UniformBelow(rng, static_cast<std::uint32_t>(n));
-  std::uint32_t j =
-      cdd::UniformBelow(rng, static_cast<std::uint32_t>(n - 1));
-  if (j >= i) ++j;
-  const JobId tmp = seq[i];
-  seq[i] = seq[j];
-  seq[j] = tmp;
 }
 
 // --- packed (cost, thread) reduction keys --------------------------------

@@ -1,8 +1,11 @@
 #include "parallel/parallel_dpso.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <span>
 
 #include "cudasim/memory.hpp"
+#include "meta/ops.hpp"
 #include "parallel/detail.hpp"
 #include "parallel/device_engine.hpp"
 #include "parallel/kernels_raw.hpp"
@@ -74,39 +77,30 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
     Launch("dpso_update", [=](sim::ThreadCtx& t) {
       const std::uint64_t tid = t.global_thread();
       if (tid >= ensemble) return;
-      JobId* mine = d_pos + tid * n;
-      JobId* scratch = d_child + tid * n;
-      std::uint8_t* marks = d_used + tid * n;
+      const auto cells = static_cast<std::size_t>(n);
+      const std::span<JobId> mine(d_pos + tid * n, cells);
+      const std::span<JobId> child(d_child + tid * n, cells);
+      const std::span<std::uint8_t> marks(d_used + tid * n, cells);
       rng::Philox4x32 rng =
           raw::MakeStream(seed, g, raw::RngPhase::kDpsoUpdate,
                           static_cast<std::uint32_t>(tid));
       // w (+) F1: swap velocity.
       if (rng.NextUniform() < w) {
-        raw::SwapRaw(mine, n, rng);
+        RandomSwap(mine, rng);
         t.charge(2);
       }
       // c1 (+) F2: one-point crossover with the particle best.
       if (rng.NextUniform() < c1) {
-        const std::uint32_t cut =
-            cdd::UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
-        raw::OnePointCrossoverRaw(n, mine, d_pbest + tid * n, cut, scratch,
-                                  marks);
-        for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
+        const std::span<const JobId> pbest(d_pbest + tid * n, cells);
+        meta::OnePointCrossover(mine, pbest, rng, child, marks);
+        std::copy(child.begin(), child.end(), mine.begin());
         t.charge(3 * static_cast<std::uint64_t>(n));
       }
       // c2 (+) F3: two-point crossover with the swarm best.
       if (rng.NextUniform() < c2) {
-        std::uint32_t a =
-            cdd::UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
-        std::uint32_t b =
-            cdd::UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
-        if (a > b) {
-          const std::uint32_t tmp = a;
-          a = b;
-          b = tmp;
-        }
-        raw::TwoPointCrossoverRaw(n, mine, d_gbest, a, b, scratch, marks);
-        for (std::int32_t i = 0; i < n; ++i) mine[i] = scratch[i];
+        const std::span<const JobId> gbest(d_gbest, cells);
+        meta::TwoPointCrossover(mine, gbest, rng, child, marks);
+        std::copy(child.begin(), child.end(), mine.begin());
         t.charge(3 * static_cast<std::uint64_t>(n));
       }
       t.charge(4);

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <vector>
 
-#include "parallel/kernels_raw.hpp"
 #include "rng/philox.hpp"
 
 namespace cdd::meta {
@@ -76,58 +75,43 @@ bool SameBytes(const Sequence& a, const Sequence& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(JobId)) == 0;
 }
 
-/// Children of the host and device implementations, plus the device's
-/// per-thread job marks, reused across calls as the kernels reuse them.
-struct Implementations {
-  Sequence host;
-  Sequence device;
+/// The caller-owned child and job marks, reused across calls as the DPSO
+/// engine and the update kernel reuse theirs.  Both start out dirty: the
+/// crossovers must not depend on what the buffers held on entry.
+struct Scratch {
+  explicit Scratch(std::size_t n) : child(n, -1), marks(n, 0xA5) {}
+  Sequence child;
   std::vector<std::uint8_t> marks;
 };
 
 void CheckOnePoint(const Sequence& p1, const Sequence& p2, std::size_t cut,
-                   Implementations& impl) {
-  const auto n = static_cast<std::int32_t>(p1.size());
+                   Scratch& scratch) {
   Sequence want;
   oracle::OnePointCrossover(p1, p2, cut, want);
-  OnePointCrossover(p1, p2, cut, impl.host);
-  par::raw::OnePointCrossoverRaw(n, p1.data(), p2.data(),
-                                 static_cast<std::uint32_t>(cut),
-                                 impl.device.data(), impl.marks.data());
-  ASSERT_TRUE(SameBytes(impl.host, want)) << "host n=" << n << " cut=" << cut;
-  ASSERT_TRUE(SameBytes(impl.device, want))
-      << "device n=" << n << " cut=" << cut;
+  OnePointCrossover(p1, p2, cut, scratch.child, scratch.marks);
+  ASSERT_TRUE(SameBytes(scratch.child, want))
+      << "n=" << p1.size() << " cut=" << cut;
 }
 
 void CheckTwoPoint(const Sequence& p1, const Sequence& p2, std::size_t a,
-                   std::size_t b, Implementations& impl) {
-  const auto n = static_cast<std::int32_t>(p1.size());
+                   std::size_t b, Scratch& scratch) {
   Sequence want;
   oracle::TwoPointCrossover(p1, p2, a, b, want);
-  TwoPointCrossover(p1, p2, a, b, impl.host);
-  par::raw::TwoPointCrossoverRaw(n, p1.data(), p2.data(),
-                                 static_cast<std::uint32_t>(a),
-                                 static_cast<std::uint32_t>(b),
-                                 impl.device.data(), impl.marks.data());
-  ASSERT_TRUE(SameBytes(impl.host, want))
-      << "host n=" << n << " a=" << a << " b=" << b;
-  ASSERT_TRUE(SameBytes(impl.device, want))
-      << "device n=" << n << " a=" << a << " b=" << b;
-}
-
-Implementations Buffers(std::size_t n) {
-  return {Sequence(n), Sequence(n), std::vector<std::uint8_t>(n)};
+  TwoPointCrossover(p1, p2, a, b, scratch.child, scratch.marks);
+  ASSERT_TRUE(SameBytes(scratch.child, want))
+      << "n=" << p1.size() << " a=" << a << " b=" << b;
 }
 
 TEST(CrossoverOracle, OnePointEveryCut) {
   rng::Philox4x32 rng(11, 1);
   for (const std::size_t n : kSizes) {
-    Implementations impl = Buffers(n);
+    Scratch scratch(n);
     for (int pair = 0; pair < kParentPairs; ++pair) {
       const Sequence p1 = RandomSequence(n, rng);
       const Sequence p2 = RandomSequence(n, rng);
       for (std::size_t cut = 0; cut <= n; ++cut) {
-        CheckOnePoint(p1, p2, cut, impl);
-        CheckOnePoint(p1, p1, cut, impl);
+        CheckOnePoint(p1, p2, cut, scratch);
+        CheckOnePoint(p1, p1, cut, scratch);
       }
     }
   }
@@ -137,14 +121,14 @@ TEST(CrossoverOracle, TwoPointEveryPairUpToSeventeenJobs) {
   rng::Philox4x32 rng(12, 2);
   for (const std::size_t n : kSizes) {
     if (n > kMaxExhaustiveTwoPoint) continue;
-    Implementations impl = Buffers(n);
+    Scratch scratch(n);
     for (int pair = 0; pair < kParentPairs; ++pair) {
       const Sequence p1 = RandomSequence(n, rng);
       const Sequence p2 = RandomSequence(n, rng);
       for (std::size_t a = 0; a <= n; ++a) {
         for (std::size_t b = a; b <= n; ++b) {
-          CheckTwoPoint(p1, p2, a, b, impl);
-          CheckTwoPoint(p1, p1, a, b, impl);
+          CheckTwoPoint(p1, p2, a, b, scratch);
+          CheckTwoPoint(p1, p1, a, b, scratch);
         }
       }
     }
@@ -155,19 +139,19 @@ TEST(CrossoverOracle, TwoPointRandomCutsAboveSeventeenJobs) {
   rng::Philox4x32 rng(13, 3);
   for (const std::size_t n : kSizes) {
     if (n <= kMaxExhaustiveTwoPoint) continue;
-    Implementations impl = Buffers(n);
+    Scratch scratch(n);
     const auto bound = static_cast<std::uint32_t>(n) + 1;
     for (int pair = 0; pair < kParentPairs; ++pair) {
       const Sequence p1 = RandomSequence(n, rng);
       const Sequence p2 = RandomSequence(n, rng);
-      CheckTwoPoint(p1, p2, 0, 0, impl);
-      CheckTwoPoint(p1, p2, 0, n, impl);
-      CheckTwoPoint(p1, p2, n, n, impl);
+      CheckTwoPoint(p1, p2, 0, 0, scratch);
+      CheckTwoPoint(p1, p2, 0, n, scratch);
+      CheckTwoPoint(p1, p2, n, n, scratch);
       for (int trial = 0; trial < kRandomTwoPointCuts; ++trial) {
         std::size_t a = UniformBelow(rng, bound);
         std::size_t b = UniformBelow(rng, bound);
         if (a > b) std::swap(a, b);
-        CheckTwoPoint(p1, p2, a, b, impl);
+        CheckTwoPoint(p1, p2, a, b, scratch);
       }
     }
   }

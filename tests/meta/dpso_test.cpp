@@ -15,8 +15,9 @@ namespace {
 TEST(Crossover, OnePointKeepsPrefixAndFillsFromDonor) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
-  Sequence child;
-  OnePointCrossover(p1, p2, /*cut=*/2, child);
+  Sequence child(5);
+  std::vector<std::uint8_t> used(5);
+  OnePointCrossover(p1, p2, /*cut=*/2, child, used);
   // Prefix {0,1} from p1; remaining jobs {4,3,2} in p2 order.
   EXPECT_EQ(child, (Sequence{0, 1, 4, 3, 2}));
 }
@@ -24,18 +25,20 @@ TEST(Crossover, OnePointKeepsPrefixAndFillsFromDonor) {
 TEST(Crossover, OnePointEdgeCuts) {
   const Sequence p1{0, 1, 2};
   const Sequence p2{2, 1, 0};
-  Sequence child;
-  OnePointCrossover(p1, p2, 0, child);
+  Sequence child(3);
+  std::vector<std::uint8_t> used(3);
+  OnePointCrossover(p1, p2, 0, child, used);
   EXPECT_EQ(child, p2);  // nothing from p1
-  OnePointCrossover(p1, p2, 3, child);
+  OnePointCrossover(p1, p2, 3, child, used);
   EXPECT_EQ(child, p1);  // everything from p1
 }
 
 TEST(Crossover, TwoPointKeepsSegmentInPlace) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
-  Sequence child;
-  TwoPointCrossover(p1, p2, /*a=*/1, /*b=*/3, child);
+  Sequence child(5);
+  std::vector<std::uint8_t> used(5);
+  TwoPointCrossover(p1, p2, /*a=*/1, /*b=*/3, child, used);
   // Segment {1,2} stays at positions 1..2; {4,3,0} fill 0,3,4 in p2 order.
   EXPECT_EQ(child, (Sequence{4, 1, 2, 3, 0}));
 }
@@ -43,10 +46,11 @@ TEST(Crossover, TwoPointKeepsSegmentInPlace) {
 TEST(Crossover, TwoPointEdgeSegments) {
   const Sequence p1{0, 1, 2};
   const Sequence p2{2, 0, 1};
-  Sequence child;
-  TwoPointCrossover(p1, p2, 0, 0, child);  // empty segment
+  Sequence child(3);
+  std::vector<std::uint8_t> used(3);
+  TwoPointCrossover(p1, p2, 0, 0, child, used);  // empty segment
   EXPECT_EQ(child, p2);
-  TwoPointCrossover(p1, p2, 0, 3, child);  // full segment
+  TwoPointCrossover(p1, p2, 0, 3, child, used);  // full segment
   EXPECT_EQ(child, p1);
 }
 
@@ -56,13 +60,14 @@ class CrossoverSweep : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(CrossoverSweep, ChildrenAreAlwaysPermutations) {
   const std::uint32_t n = GetParam();
   rng::Philox4x32 rng(n * 7919);
-  Sequence child;
+  Sequence child(n);
+  std::vector<std::uint8_t> used(n);
   for (int trial = 0; trial < 100; ++trial) {
     const Sequence p1 = RandomSequence(n, rng);
     const Sequence p2 = RandomSequence(n, rng);
-    OnePointCrossover(p1, p2, rng, child);
+    OnePointCrossover(p1, p2, rng, child, used);
     ASSERT_TRUE(IsPermutation(child)) << "one-point n=" << n;
-    TwoPointCrossover(p1, p2, rng, child);
+    TwoPointCrossover(p1, p2, rng, child, used);
     ASSERT_TRUE(IsPermutation(child)) << "two-point n=" << n;
   }
 }

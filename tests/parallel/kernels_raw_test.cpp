@@ -1,5 +1,5 @@
-/// Raw device-function helper tests: perturbation, crossovers, RNG stream
-/// layout, packed reduction keys.
+/// Raw device-function helper tests: perturbation, the DPSO crossovers on
+/// per-thread raw buffers, RNG stream layout, packed reduction keys.
 
 #include "parallel/kernels_raw.hpp"
 
@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "meta/ops.hpp"
 #include "parallel/launch_config.hpp"
 
 namespace cdd::par::raw {
@@ -40,16 +41,19 @@ TEST(PerturbRaw, ClampsPertAndHandlesTinySequences) {
   EXPECT_TRUE(IsPermutation(three));
 }
 
+// The pdpso update kernel calls meta's crossovers on raw per-thread
+// buffers: the child row and n bytes of job marks, as below.
+
 TEST(CrossoverRaw, OnePointMatchesSpecification) {
   const Sequence p1{0, 1, 2, 3, 4};
   const Sequence p2{4, 3, 2, 1, 0};
   Sequence child(5);
   std::uint8_t used[5];
-  OnePointCrossoverRaw(5, p1.data(), p2.data(), 2, child.data(), used);
+  meta::OnePointCrossover(p1, p2, 2, child, used);
   EXPECT_EQ(child, (Sequence{0, 1, 4, 3, 2}));
-  OnePointCrossoverRaw(5, p1.data(), p2.data(), 0, child.data(), used);
+  meta::OnePointCrossover(p1, p2, 0, child, used);
   EXPECT_EQ(child, p2);
-  OnePointCrossoverRaw(5, p1.data(), p2.data(), 5, child.data(), used);
+  meta::OnePointCrossover(p1, p2, 5, child, used);
   EXPECT_EQ(child, p1);
 }
 
@@ -58,11 +62,11 @@ TEST(CrossoverRaw, TwoPointMatchesSpecification) {
   const Sequence p2{4, 3, 2, 1, 0};
   Sequence child(5);
   std::uint8_t used[5];
-  TwoPointCrossoverRaw(5, p1.data(), p2.data(), 1, 3, child.data(), used);
+  meta::TwoPointCrossover(p1, p2, 1, 3, child, used);
   EXPECT_EQ(child, (Sequence{4, 1, 2, 3, 0}));
-  TwoPointCrossoverRaw(5, p1.data(), p2.data(), 0, 0, child.data(), used);
+  meta::TwoPointCrossover(p1, p2, 0, 0, child, used);
   EXPECT_EQ(child, p2);
-  TwoPointCrossoverRaw(5, p1.data(), p2.data(), 0, 5, child.data(), used);
+  meta::TwoPointCrossover(p1, p2, 0, 5, child, used);
   EXPECT_EQ(child, p1);
 }
 
@@ -76,14 +80,12 @@ TEST(CrossoverRaw, AlwaysPermutationsUnderRandomCuts) {
     for (int trial = 0; trial < 50; ++trial) {
       const std::uint32_t cut =
           UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
-      OnePointCrossoverRaw(n, p1.data(), p2.data(), cut, child.data(),
-                           used.data());
+      meta::OnePointCrossover(p1, p2, cut, child, used);
       ASSERT_TRUE(IsPermutation(child)) << "1pt n=" << n;
       std::uint32_t a = UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
       std::uint32_t b = UniformBelow(rng, static_cast<std::uint32_t>(n) + 1);
       if (a > b) std::swap(a, b);
-      TwoPointCrossoverRaw(n, p1.data(), p2.data(), a, b, child.data(),
-                           used.data());
+      meta::TwoPointCrossover(p1, p2, a, b, child, used);
       ASSERT_TRUE(IsPermutation(child)) << "2pt n=" << n;
     }
   }
