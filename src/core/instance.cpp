@@ -1,5 +1,6 @@
 #include "core/instance.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <sstream>
 
@@ -87,23 +88,48 @@ void Instance::Validate() const {
   }
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const Job& j = jobs_[i];
-    std::ostringstream at;
-    at << " (job " << i << ")";
+    const auto at = [i] { return " (job " + std::to_string(i) + ")"; };
     if (j.proc < 1) {
-      throw std::invalid_argument("Instance: processing time < 1" + at.str());
+      throw std::invalid_argument("Instance: processing time < 1" + at());
     }
     if (j.min_proc < 0 || j.min_proc > j.proc) {
       throw std::invalid_argument(
-          "Instance: minimum processing time outside [0, P_i]" + at.str());
+          "Instance: minimum processing time outside [0, P_i]" + at());
     }
     if (j.early < 0 || j.tardy < 0 || j.compress < 0) {
-      throw std::invalid_argument("Instance: negative penalty" + at.str());
+      throw std::invalid_argument("Instance: negative penalty" + at());
     }
+  }
+  // Cost range.  With w = max(1, alpha, beta, gamma), every job's penalty
+  // is at most w * (d + sum P_i), so n * w * (d + sum P_i) < 2^62 keeps
+  // every cost, every difference of two costs and every partial sum of the
+  // evaluators, the annealing rules and bnb inside a Cost.  sum P_i itself
+  // can overflow, so each step is checked.
+  Cost weight = 1;
+  Time horizon = due_date_;
+  bool overflow = false;
+  for (const Job& j : jobs_) {
+    weight = std::max({weight, j.early, j.tardy, j.compress});
+    overflow |= __builtin_add_overflow(horizon, j.proc, &horizon);
+  }
+  Cost magnitude = 0;
+  overflow = overflow ||
+             __builtin_mul_overflow(static_cast<Cost>(jobs_.size()), weight,
+                                    &magnitude) ||
+             __builtin_mul_overflow(magnitude, horizon, &magnitude);
+  if (overflow || magnitude >= kCostMagnitudeLimit) {
+    throw std::invalid_argument(
+        "Instance: costs could overflow; n * max(1, alpha, beta, gamma) * "
+        "(d + sum(P_i)) must stay below 2^62");
   }
   if (problem_ == Problem::kUcddcp && !is_unrestricted()) {
     throw std::invalid_argument(
-        "Instance: UCDDCP requires d >= sum(P_i) (unrestricted case); use "
-        "Problem::kCddcp for the restricted controllable problem");
+        "Instance: restricted UCDDCP instance: d = " +
+        std::to_string(due_date_) + " < sum(P_i) = " +
+        std::to_string(total_processing_time()) +
+        "; the O(n) algorithm of Awasthi et al. requires the unrestricted "
+        "case (d >= sum P_i); use Problem::kCddcp for the restricted "
+        "controllable problem");
   }
   if (machines_ < 1) {
     throw std::invalid_argument("Instance: machines must be >= 1");

@@ -57,12 +57,17 @@ enum class ScheduleObjective {
   kEarlyWork,
 };
 
+/// Exclusive upper limit on n * max(1, alpha, beta, gamma) * (d + sum P_i)
+/// that Instance::Validate() accepts; below it no cost can overflow.
+inline constexpr Cost kCostMagnitudeLimit = Cost{1} << 62;
+
 /// \brief A complete problem instance.
 ///
 /// Invariants (checked by Validate()):
 ///  * n >= 1, d >= 0
 ///  * P_i >= 1, 0 <= M_i <= P_i
 ///  * alpha_i, beta_i >= 0, gamma_i >= 0
+///  * n * max(1, alpha, beta, gamma) * (d + sum P_i) < kCostMagnitudeLimit
 ///  * for Problem::kUcddcp additionally d >= sum(P_i) ("unrestricted").
 class Instance {
  public:

@@ -1,5 +1,6 @@
 #include "serve/request.hpp"
 
+#include <stdexcept>
 #include <string>
 
 #include "core/hash.hpp"
@@ -49,15 +50,12 @@ std::optional<SolveStatus> SolveStatusFromName(std::string_view name) {
 }
 
 std::string ValidateRequestInstance(const Instance& instance) {
-  if (instance.problem() == Problem::kUcddcp &&
-      !instance.is_unrestricted()) {
-    return "restricted UCDDCP instance: d = " +
-           std::to_string(instance.due_date()) + " < sum(P_i) = " +
-           std::to_string(instance.total_processing_time()) +
-           "; the O(n) algorithm of Awasthi et al. requires the "
-           "unrestricted case (d >= sum P_i)";
+  try {
+    instance.Validate();
+    return {};
+  } catch (const std::invalid_argument& e) {
+    return e.what();
   }
-  return {};
 }
 
 std::uint64_t CacheKey(const SolveRequest& request) {

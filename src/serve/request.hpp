@@ -98,10 +98,11 @@ struct SolveResponse {
 };
 
 /// Rejection diagnostic for instances that violate an evaluator
-/// precondition, or the empty string when the request is admissible.
-/// Today this enforces the UCDDCP unrestricted-case precondition
-/// d >= sum(P_i) (Awasthi et al.); the service and the cdd_solve tool both
-/// gate on it so no engine ever evaluates under a violated precondition.
+/// precondition, or the empty string when the request is admissible:
+/// the message of Instance::Validate(), which covers the cost range and
+/// the UCDDCP unrestricted-case precondition d >= sum(P_i) (Awasthi et
+/// al.).  The service and the cdd_solve tool both gate on it so no engine
+/// ever evaluates under a violated precondition.
 std::string ValidateRequestInstance(const Instance& instance);
 
 /// Canonical 64-bit cache/dedup key: instance hash combined with the

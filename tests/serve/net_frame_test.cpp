@@ -131,6 +131,26 @@ TEST(Wire, RequestParsingIsStrict) {
   EXPECT_THROW(ParseRequest(payload), WireError);
 }
 
+TEST(Wire, RequestWhoseCostsCouldOverflowIsRejected) {
+  // sum(P_i) overflows a Time; before the cost bound in Instance::Validate
+  // this request reached the engines and bnb/dpso answered a negative
+  // best_cost.
+  const std::string payload =
+      R"({"op":"solve","id":3,"engine":"dpso","instance":{"problem":"cdd",)"
+      R"("due":1000000000000,"proc":[4000000000000000000,)"
+      R"(3000000000000000000,5],"min_proc":[4000000000000000000,)"
+      R"(3000000000000000000,5],"early":[9,9,9],"tardy":[9,9,9],)"
+      R"("compress":[0,0,0]}})";
+  try {
+    ParseRequest(payload);
+    FAIL() << "an instance whose costs overflow parsed";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("costs could overflow"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Wire, ResponseRoundTripsIncludingOverloadStatuses) {
   SolveResponse response;
   response.id = 9;

@@ -13,6 +13,7 @@
 
 #include "common/fn_engine.hpp"
 #include "common/test_instances.hpp"
+#include "core/exact.hpp"
 #include "core/sequence.hpp"
 #include "orlib/biskup_feldmann.hpp"
 
@@ -79,6 +80,52 @@ TEST(SolverService, RestrictedUcddcpInstanceRejectedAtTheBoundary) {
   EXPECT_NE(response.error.find("sum(P_i) = 13"), std::string::npos);
   EXPECT_EQ(
       service.metrics().counter("rejected_invalid_instance").value(), 1u);
+}
+
+TEST(SolverService, InstanceWhoseCostsCouldOverflowRejectedAtTheBoundary) {
+  // The wire request proc = [4e18, 3e18, 5], early = tardy = 9, d = 1e12,
+  // submitted in-process: Instance::Validate's cost bound rejects it
+  // before any engine evaluates a cost.
+  SolverService service(ServiceConfig{.workers = 1});
+  for (const char* engine : {"bnb", "dpso"}) {
+    SolveRequest request;
+    request.id = 10;
+    request.instance = Instance(
+        Problem::kCdd, /*d=*/1'000'000'000'000,
+        {4'000'000'000'000'000'000, 3'000'000'000'000'000'000, 5},
+        {9, 9, 9}, {9, 9, 9});
+    request.engine = engine;
+    request.options.generations = 10;
+    std::future<SolveResponse> future = service.Submit(std::move(request));
+    ASSERT_EQ(future.wait_for(milliseconds(0)), std::future_status::ready);
+    const SolveResponse response = future.get();
+    EXPECT_EQ(response.status, SolveStatus::kRejectedInvalidInstance)
+        << engine;
+    EXPECT_NE(response.error.find("costs could overflow"), std::string::npos)
+        << response.error;
+  }
+  EXPECT_EQ(
+      service.metrics().counter("rejected_invalid_instance").value(), 2u);
+}
+
+TEST(SolverService, InstanceExactlyAtTheCostBoundSolves) {
+  // n * max(1, alpha, beta, gamma) * (d + sum P_i) = 3 * 715827883 *
+  // (2^31 - 1) = 2^62 - 1, the largest value Instance::Validate accepts.
+  const Instance at_bound(Problem::kCdd, /*d=*/(Time{1} << 31) - 13,
+                          {5, 3, 4}, {715827883, 1, 2}, {7, 715827883, 1});
+  const Cost optimum = BruteForceCdd(at_bound).cost;
+  ASSERT_GE(optimum, 0);
+  SolverService service(ServiceConfig{.workers = 1});
+  for (const char* engine : {"bnb", "dpso"}) {
+    SolveRequest request;
+    request.id = 11;
+    request.instance = at_bound;
+    request.engine = engine;
+    request.options.generations = 50;
+    const SolveResponse response = service.Submit(std::move(request)).get();
+    ASSERT_EQ(response.status, SolveStatus::kOk) << engine << response.error;
+    EXPECT_EQ(response.result.best_cost, optimum) << engine;
+  }
 }
 
 TEST(SolverService, VariantInstanceWithUnsupportedEngineRejected) {

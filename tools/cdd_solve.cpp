@@ -166,7 +166,6 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << diagnostic << "\n";
       return 1;
     }
-    instance.Validate();
     std::cout << "instance: " << instance.Summary() << "\n";
 
     // --- run the selected engine ------------------------------------------
