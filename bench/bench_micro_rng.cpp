@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -128,6 +127,7 @@ void BM_OnePointCrossover(benchmark::State& state) {
   for (auto _ : state) {
     cdd::meta::OnePointCrossover(p1, p2, rng, child, used);
     benchmark::DoNotOptimize(child.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_OnePointCrossover)->Arg(100);
@@ -142,6 +142,7 @@ void BM_TwoPointCrossover(benchmark::State& state) {
   for (auto _ : state) {
     cdd::meta::TwoPointCrossover(p1, p2, rng, child, used);
     benchmark::DoNotOptimize(child.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_TwoPointCrossover)->Arg(100);
