@@ -14,16 +14,15 @@
 /// the backend the dispatching call sites resolved to on this host.
 ///
 ///   bench_eval_batch [--sizes 50,200,500] [--batch 768] [--seed 1]
-///                    [--json BENCH_eval.json] [--smoke]
+///                    [--smoke]
 ///
-/// --smoke runs a fast verification-only pass (tiny rep counts, no JSON) —
-/// the CI hook, run once per CDD_EVAL_BACKEND value.  The full run writes
-/// BENCH_eval.json with evals/sec for all four paths per size;
-/// results/exp_eval_simd.txt captures the stdout table.
+/// --smoke runs a fast verification-only pass (tiny rep counts) — the CI
+/// hook, run once per CDD_EVAL_BACKEND value.  The full run prints
+/// evals/sec for all four paths per size; results/exp_eval_simd.txt
+/// captures the table.  Both exit 1 unless every path is bit-identical.
 
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <span>
@@ -49,20 +48,6 @@ double Seconds(Clock::time_point t0, Clock::time_point t1) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-struct SizeResult {
-  std::uint32_t n = 0;
-  std::int32_t pool_stride = 0;   ///< row stride in JobId elements
-  std::size_t pool_row_bytes = 0; ///< stride * sizeof(JobId)
-  double function_evals_per_sec = 0;
-  double batch_evals_per_sec = 0;
-  double speedup = 0;
-  bool identical = false;
-  double scalar_batch_evals_per_sec = 0;
-  double simd_batch_evals_per_sec = 0;
-  double simd_speedup = 0;
-  bool simd_identical = false;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -71,8 +56,7 @@ int main(int argc, char** argv) {
   if (args.GetBool("help")) {
     std::cout << "Batched vs per-candidate std::function evaluation, plus\n"
                  "scalar-batch vs SIMD-batch (lane-per-candidate) builds.\n"
-                 "Flags: --sizes list --batch B --seed S --json PATH "
-                 "--smoke\n";
+                 "Flags: --sizes list --batch B --seed S --smoke\n";
     return 0;
   }
   const bool smoke = args.GetBool("smoke");
@@ -80,7 +64,6 @@ int main(int argc, char** argv) {
       args.GetUintList("sizes", {50, 200, 500});
   const auto batch = static_cast<std::uint32_t>(args.GetInt("batch", 768));
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 1));
-  const std::string json_path = args.GetString("json", "BENCH_eval.json");
 
   const std::string_view backend = core::ToString(core::ActiveEvalBackend());
   const std::string_view pool_backend =
@@ -98,7 +81,6 @@ int main(int argc, char** argv) {
   benchutil::TextTable table({"n", "fn evals/s", "batch evals/s", "speedup",
                               "scalar evals/s", "simd evals/s",
                               "simd speedup", "bit-identical"});
-  std::vector<SizeResult> results;
   bool all_identical = true;
 
   for (const std::uint32_t n : sizes) {
@@ -173,28 +155,16 @@ int main(int argc, char** argv) {
     all_identical = all_identical && identical && simd_identical;
 
     const double evals = static_cast<double>(reps) * batch;
-    SizeResult row;
-    row.n = n;
-    row.pool_stride = view.stride;
-    row.pool_row_bytes =
-        static_cast<std::size_t>(view.stride) * sizeof(JobId);
-    row.function_evals_per_sec = evals / Seconds(t0, t1);
-    row.batch_evals_per_sec = evals / Seconds(t1, t2);
-    row.speedup = row.batch_evals_per_sec / row.function_evals_per_sec;
-    row.identical = identical;
-    row.scalar_batch_evals_per_sec = evals / Seconds(t2, t3);
-    row.simd_batch_evals_per_sec = evals / Seconds(t3, t4);
-    row.simd_speedup =
-        row.simd_batch_evals_per_sec / row.scalar_batch_evals_per_sec;
-    row.simd_identical = simd_identical;
-    results.push_back(row);
-    table.AddRow({std::to_string(n),
-                  benchutil::FmtDouble(row.function_evals_per_sec, 0),
-                  benchutil::FmtDouble(row.batch_evals_per_sec, 0),
-                  benchutil::FmtDouble(row.speedup, 2),
-                  benchutil::FmtDouble(row.scalar_batch_evals_per_sec, 0),
-                  benchutil::FmtDouble(row.simd_batch_evals_per_sec, 0),
-                  benchutil::FmtDouble(row.simd_speedup, 2),
+    const double fn_rate = evals / Seconds(t0, t1);
+    const double batch_rate = evals / Seconds(t1, t2);
+    const double scalar_rate = evals / Seconds(t2, t3);
+    const double simd_rate = evals / Seconds(t3, t4);
+    table.AddRow({std::to_string(n), benchutil::FmtDouble(fn_rate, 0),
+                  benchutil::FmtDouble(batch_rate, 0),
+                  benchutil::FmtDouble(batch_rate / fn_rate, 2),
+                  benchutil::FmtDouble(scalar_rate, 0),
+                  benchutil::FmtDouble(simd_rate, 0),
+                  benchutil::FmtDouble(simd_rate / scalar_rate, 2),
                   identical && simd_identical ? "yes" : "NO"});
   }
   std::cout << table.ToString();
@@ -207,41 +177,6 @@ int main(int argc, char** argv) {
   if (smoke) {
     std::cout << "\nsmoke: function, batch, scalar-batch and simd-batch "
                  "evaluation all bit-identical on all sizes\n";
-    return 0;
   }
-
-  std::ofstream json(json_path);
-  if (!json) {
-    std::cerr << "error: cannot write " << json_path << "\n";
-    return 1;
-  }
-  json << "{\n  \"bench\": \"eval_batch\",\n  \"batch\": " << batch
-       << ",\n  \"backend\": \"" << backend << "\",\n  \"simd_isa\": \""
-       << isa << "\",\n  \"pool_backend\": \"" << pool_backend
-       << "\",\n  \"exec_backend\": \"" << exec_backend
-       << "\",\n  \"exec_workers\": " << exec_workers
-       << ",\n  \"pool_alignment_bytes\": 64,\n  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    json << "    {\"n\": " << r.n << ", \"pool_stride\": " << r.pool_stride
-         << ", \"pool_row_bytes\": " << r.pool_row_bytes
-         << ", \"function_evals_per_sec\": "
-         << benchutil::FmtDouble(r.function_evals_per_sec, 0)
-         << ", \"batch_evals_per_sec\": "
-         << benchutil::FmtDouble(r.batch_evals_per_sec, 0)
-         << ", \"speedup\": " << benchutil::FmtDouble(r.speedup, 3)
-         << ", \"bit_identical\": " << (r.identical ? "true" : "false")
-         << ", \"scalar_batch_evals_per_sec\": "
-         << benchutil::FmtDouble(r.scalar_batch_evals_per_sec, 0)
-         << ", \"simd_batch_evals_per_sec\": "
-         << benchutil::FmtDouble(r.simd_batch_evals_per_sec, 0)
-         << ", \"simd_speedup\": "
-         << benchutil::FmtDouble(r.simd_speedup, 3)
-         << ", \"simd_bit_identical\": "
-         << (r.simd_identical ? "true" : "false") << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  json << "  ]\n}\n";
-  std::cout << "\nwrote " << json_path << "\n";
   return 0;
 }

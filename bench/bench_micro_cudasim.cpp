@@ -1,9 +1,11 @@
 /// \file bench_micro_cudasim.cpp
 /// \brief GPU-simulator microbenchmarks: host-side cost of kernel launch,
-/// fiber barriers, and atomic reduction — the simulator's own overheads,
+/// phase barriers, and atomic reduction — the simulator's own overheads,
 /// kept separate from the modeled device time.
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "cudasim/atomics.hpp"
 #include "cudasim/device.hpp"
@@ -11,6 +13,7 @@
 namespace {
 
 using cdd::sim::Device;
+using cdd::sim::KernelFn;
 using cdd::sim::LaunchOptions;
 using cdd::sim::ThreadCtx;
 
@@ -24,29 +27,27 @@ void BM_EmptyKernelLaunch(benchmark::State& state) {
 }
 BENCHMARK(BM_EmptyKernelLaunch)->Arg(1)->Arg(4)->Arg(16);
 
-void BM_CooperativeBarrierKernel(benchmark::State& state) {
+void BM_PhasedBarrierKernel(benchmark::State& state) {
+  // {1}x{64} with state.range(0) barriers, i.e. one more phase than that.
   Device gpu;
-  const auto barriers = static_cast<int>(state.range(0));
-  LaunchOptions opts;
-  opts.cooperative = true;
+  const auto barriers = static_cast<std::size_t>(state.range(0));
+  const std::vector<KernelFn> phases(barriers + 1, [](ThreadCtx&) {});
   for (auto _ : state) {
-    gpu.Launch({1}, {64}, opts, [barriers](ThreadCtx& t) {
-      for (int i = 0; i < barriers; ++i) t.syncthreads();
-    });
+    gpu.Launch({1}, {64}, LaunchOptions{}, phases);
   }
-  state.SetItemsProcessed(state.iterations() * 64 * barriers);
+  state.SetItemsProcessed(state.iterations() * 64 *
+                          static_cast<std::int64_t>(barriers));
 }
-BENCHMARK(BM_CooperativeBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_PhasedBarrierKernel)->Arg(1)->Arg(4)->Arg(16);
 
 /// The paper's fitness-kernel geometry (Section VI-A): 4 blocks x 192
-/// threads staging through shared memory behind one barrier.
+/// threads staging through shared memory, one barrier between two phases.
 void LaunchPaperGeometry(Device& gpu) {
-  LaunchOptions opts;
-  opts.cooperative = true;
-  gpu.Launch({4}, {192}, opts, [](ThreadCtx& t) { t.syncthreads(); });
+  const KernelFn phases[] = {[](ThreadCtx&) {}, [](ThreadCtx&) {}};
+  gpu.Launch({4}, {192}, LaunchOptions{}, phases);
 }
 
-void BM_CooperativePaperGeometry(benchmark::State& state) {
+void BM_PhasedPaperGeometry(benchmark::State& state) {
   Device gpu;
   for (auto _ : state) {
     LaunchPaperGeometry(gpu);
@@ -54,9 +55,9 @@ void BM_CooperativePaperGeometry(benchmark::State& state) {
   benchmark::DoNotOptimize(gpu.sim_time_s());
   state.SetItemsProcessed(state.iterations() * 4 * 192);
 }
-BENCHMARK(BM_CooperativePaperGeometry);
+BENCHMARK(BM_PhasedPaperGeometry);
 
-void BM_CooperativePaperGeometryFreshDevice(benchmark::State& state) {
+void BM_PhasedPaperGeometryFreshDevice(benchmark::State& state) {
   // A serve worker builds a new Device per psa request, so this is the
   // per-request cost of the first launch.
   for (auto _ : state) {
@@ -66,7 +67,7 @@ void BM_CooperativePaperGeometryFreshDevice(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 4 * 192);
 }
-BENCHMARK(BM_CooperativePaperGeometryFreshDevice);
+BENCHMARK(BM_PhasedPaperGeometryFreshDevice);
 
 void BM_AtomicMinReduction(benchmark::State& state) {
   Device gpu;
@@ -82,15 +83,15 @@ void BM_AtomicMinReduction(benchmark::State& state) {
 }
 BENCHMARK(BM_AtomicMinReduction);
 
-void BM_NonCooperativeThreadLoop(benchmark::State& state) {
-  // Baseline for the fiber overhead: same geometry without barriers.
+void BM_OnePhaseThreadLoop(benchmark::State& state) {
+  // Baseline for the barrier cost: {1}x{64} without barriers.
   Device gpu;
   for (auto _ : state) {
     gpu.Launch({1}, {64}, [](ThreadCtx& t) { t.charge(1); });
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_NonCooperativeThreadLoop);
+BENCHMARK(BM_OnePhaseThreadLoop);
 
 }  // namespace
 

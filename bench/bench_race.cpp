@@ -13,7 +13,7 @@
 ///   bench_race [--sizes 20,40,60,100] [--indices 2] [--gens 1500]
 ///              [--seed 1] [--h 0.6] [--portfolio sa,ta,dpso]
 ///              [--race-slice 16] [--slice 16] [--tol-pct 2]
-///              [--json BENCH_race.json] [--save PATH] [--smoke]
+///              [--save PATH] [--smoke]
 ///
 /// The interesting comparison is race vs the *median* solo engine: a
 /// portfolio cannot beat an oracle that always picks the winner, but it
@@ -78,13 +78,6 @@ std::string FmtMs(double seconds) {
   return benchutil::FmtDouble(seconds * 1e3, 2);
 }
 
-std::string JsonMs(double seconds) {
-  if (seconds == std::numeric_limits<double>::infinity()) return "null";
-  std::ostringstream out;
-  out << seconds * 1e3;
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,7 +87,7 @@ int main(int argc, char** argv) {
                  "Biskup-Feldmann sweep.\n"
                  "Flags: --sizes list --indices K --gens G --seed S --h H "
                  "--portfolio A,B,C --race-slice N --slice N --tol-pct P "
-                 "--json PATH --save PATH --smoke\n";
+                 "--save PATH --smoke\n";
     return 0;
   }
   const bool smoke = args.GetBool("smoke");
@@ -113,8 +106,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.GetInt("race-slice", 16));
   const auto slice = static_cast<std::uint64_t>(args.GetInt("slice", 16));
   const auto tol_pct = args.GetInt("tol-pct", 2);
-  const std::string json_path =
-      args.GetString("json", smoke ? "" : "BENCH_race.json");
   const std::string save_path = args.GetString("save", "");
 
   const std::vector<std::string> solos = SplitNames(portfolio);
@@ -144,7 +135,6 @@ int main(int argc, char** argv) {
                 {"median [ms]", "race [ms]", "race<=median"});
   benchutil::TextTable table(header);
 
-  std::ostringstream json_rows;
   std::size_t instances = 0;
   std::size_t race_wins = 0;
   const orlib::BiskupFeldmannGenerator gen(seed);
@@ -196,19 +186,6 @@ int main(int argc, char** argv) {
       row.insert(row.end(),
                  {FmtMs(median), FmtMs(race_seconds), win ? "yes" : "NO"});
       table.AddRow(row);
-
-      if (instances > 1) json_rows << ",\n";
-      json_rows << "    {\"n\": " << n << ", \"index\": " << index
-                << ", \"best_known\": " << best_known
-                << ", \"target\": " << target << ", \"solo_ms\": {";
-      for (std::size_t k = 0; k < solos.size(); ++k) {
-        json_rows << (k > 0 ? ", " : "") << "\"" << solos[k]
-                  << "\": " << JsonMs(solo_seconds[k]);
-      }
-      json_rows << "}, \"median_solo_ms\": " << JsonMs(median)
-                << ", \"race_ms\": " << JsonMs(race_seconds)
-                << ", \"race_beats_median\": " << (win ? "true" : "false")
-                << "}";
     }
   }
 
@@ -225,20 +202,6 @@ int main(int argc, char** argv) {
     }
     out << report.str();
     std::cout << "wrote " << save_path << "\n";
-  }
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    if (!json) {
-      std::cerr << "error: cannot write " << json_path << "\n";
-      return 1;
-    }
-    json << "{\n  \"bench\": \"race\",\n  \"portfolio\": \"" << portfolio
-         << "\",\n  \"gens\": " << gens << ",\n  \"race_slice\": "
-         << race_slice << ",\n  \"tol_pct\": " << tol_pct
-         << ",\n  \"instances\": " << instances << ",\n  \"race_wins\": "
-         << race_wins << ",\n  \"results\": [\n" << json_rows.str()
-         << "\n  ]\n}\n";
-    std::cout << "wrote " << json_path << "\n";
   }
 
   if (race_wins * 2 < instances) {

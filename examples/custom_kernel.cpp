@@ -4,8 +4,9 @@
 ///
 /// The kernel evaluates every *cyclic rotation* of a base sequence in
 /// parallel — one rotation per simulated CUDA thread — staging the penalty
-/// arrays in shared memory behind a barrier (the same pattern as the
-/// paper's fitness kernel) and reducing the winner with an atomic minimum.
+/// arrays in shared memory in a first phase, behind the barrier that ends
+/// it (the same pattern as the paper's fitness kernel), and reducing the
+/// winner with an atomic minimum.
 ///
 ///   ./examples/custom_kernel [--jobs 192] [--seed 3]
 
@@ -69,36 +70,41 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>((n + 191) / 192), 1, 1};
   sim::LaunchOptions opts;
   opts.name = "rotation_eval";
-  opts.cooperative = true;
   opts.shared_bytes =
       2 * static_cast<std::size_t>(n) * sizeof(Cost);
 
-  gpu.Launch(grid, block, opts, [=](sim::ThreadCtx& t) {
-    // Stage alpha/beta into shared memory (strided, then barrier).
-    Cost* s_alpha = t.shared_as<Cost>();
-    Cost* s_beta = s_alpha + n;
-    const auto tpb = static_cast<std::int32_t>(t.block_dim.count());
-    for (std::int32_t i = static_cast<std::int32_t>(t.linear_thread());
-         i < n; i += tpb) {
-      s_alpha[i] = p_alpha[i];
-      s_beta[i] = p_beta[i];
-    }
-    t.syncthreads();
-
-    const auto r = static_cast<std::int32_t>(t.global_thread());
-    if (r >= n) return;
-    // Build rotation r of the base sequence in this thread's scratch row.
-    JobId* mine = p_scratch + static_cast<std::size_t>(r) * n;
-    for (std::int32_t i = 0; i < n; ++i) {
-      mine[i] = p_base[(i + r) % n];
-    }
-    const raw::EvalResult res =
-        raw::EvalCdd(n, d, mine, p_proc, s_alpha, s_beta);
-    sim::AtomicMin(p_best,
-                   raw::EvalResult{res.cost, 0, 0}.cost << 20 |
-                       static_cast<std::int64_t>(r));
-    t.charge(4 * static_cast<std::uint64_t>(n));
-  });
+  // Two phases; the boundary between them is the block barrier.
+  const sim::KernelFn kernel[] = {
+      [=](sim::ThreadCtx& t) {
+        // Stage alpha/beta into shared memory (strided).
+        Cost* s_alpha = t.shared_as<Cost>();
+        Cost* s_beta = s_alpha + n;
+        const auto tpb = static_cast<std::int32_t>(t.block_dim.count());
+        for (std::int32_t i = static_cast<std::int32_t>(t.linear_thread());
+             i < n; i += tpb) {
+          s_alpha[i] = p_alpha[i];
+          s_beta[i] = p_beta[i];
+        }
+      },
+      [=](sim::ThreadCtx& t) {
+        const auto r = static_cast<std::int32_t>(t.global_thread());
+        if (r >= n) return;
+        const Cost* s_alpha = t.shared_as<Cost>();
+        const Cost* s_beta = s_alpha + n;
+        // Build rotation r of the base sequence in this thread's scratch
+        // row.
+        JobId* mine = p_scratch + static_cast<std::size_t>(r) * n;
+        for (std::int32_t i = 0; i < n; ++i) {
+          mine[i] = p_base[(i + r) % n];
+        }
+        const raw::EvalResult res =
+            raw::EvalCdd(n, d, mine, p_proc, s_alpha, s_beta);
+        sim::AtomicMin(p_best,
+                       raw::EvalResult{res.cost, 0, 0}.cost << 20 |
+                           static_cast<std::int64_t>(r));
+        t.charge(4 * static_cast<std::uint64_t>(n));
+      }};
+  gpu.Launch(grid, block, opts, kernel);
   gpu.Synchronize();
 
   std::int64_t packed = 0;

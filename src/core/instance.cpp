@@ -79,6 +79,15 @@ Instance Instance::as_cdd() const {
   return copy;
 }
 
+std::optional<Time> CheckedProcessingSum(std::span<const Job> jobs,
+                                         Time start) {
+  Time sum = start;
+  for (const Job& j : jobs) {
+    if (__builtin_add_overflow(sum, j.proc, &sum)) return std::nullopt;
+  }
+  return sum;
+}
+
 void Instance::Validate() const {
   if (jobs_.empty()) {
     throw std::invalid_argument("Instance: no jobs");
@@ -106,17 +115,16 @@ void Instance::Validate() const {
   // evaluators, the annealing rules and bnb inside a Cost.  sum P_i itself
   // can overflow, so each step is checked.
   Cost weight = 1;
-  Time horizon = due_date_;
-  bool overflow = false;
   for (const Job& j : jobs_) {
     weight = std::max({weight, j.early, j.tardy, j.compress});
-    overflow |= __builtin_add_overflow(horizon, j.proc, &horizon);
   }
+  const std::optional<Time> horizon = CheckedProcessingSum(jobs_, due_date_);
   Cost magnitude = 0;
-  overflow = overflow ||
-             __builtin_mul_overflow(static_cast<Cost>(jobs_.size()), weight,
-                                    &magnitude) ||
-             __builtin_mul_overflow(magnitude, horizon, &magnitude);
+  const bool overflow =
+      !horizon ||
+      __builtin_mul_overflow(static_cast<Cost>(jobs_.size()), weight,
+                             &magnitude) ||
+      __builtin_mul_overflow(magnitude, *horizon, &magnitude);
   if (overflow || magnitude >= kCostMagnitudeLimit) {
     throw std::invalid_argument(
         "Instance: costs could overflow; n * max(1, alpha, beta, gamma) * "

@@ -14,6 +14,8 @@
 /// M and gamma (conventionally M_i = P_i, gamma_i = 0).
 
 #include <cstddef>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -56,6 +58,12 @@ enum class ScheduleObjective {
   /// Per-job penalties are ignored; only P_i and d matter.
   kEarlyWork,
 };
+
+/// \p start + sum of the jobs' processing times, or std::nullopt when a
+/// partial sum overflows Time.  Instance::Validate() and the sch loader
+/// share it, so no input can reach a plain signed sum.
+std::optional<Time> CheckedProcessingSum(std::span<const Job> jobs,
+                                         Time start = 0);
 
 /// Exclusive upper limit on n * max(1, alpha, beta, gamma) * (d + sum P_i)
 /// that Instance::Validate() accepts; below it no cost can overflow.

@@ -1,6 +1,6 @@
 #pragma once
 /// \file stop_token.hpp
-/// \brief Cooperative cancellation for long-running solver loops.
+/// \brief Polled cancellation for long-running solver loops.
 ///
 /// A StopSource owns a stop flag and an optional monotonic deadline; a
 /// StopToken is a cheap non-owning view of one source that the

@@ -1,13 +1,11 @@
 #include "cudasim/device.hpp"
 
 #include "cudasim/exec/host_pool.hpp"
-#include "cudasim/fiber.hpp"
 #include "cudasim/stream.hpp"
 #include "trace/tracer.hpp"
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 namespace cdd::sim {
@@ -24,10 +22,8 @@ struct ThreadCtxAccess {
     ctx.shared_ = shared;
     ctx.shared_bytes_ = shared_bytes;
     ctx.work_ = 0;
-    ctx.fiber_ = nullptr;
     ctx.props_ = props;
   }
-  static void SetFiber(ThreadCtx& ctx, Fiber* fiber) { ctx.fiber_ = fiber; }
   static std::uint64_t Work(const ThreadCtx& ctx) { return ctx.work_; }
 };
 
@@ -68,8 +64,6 @@ Dim3 UnlinearizeThread(Dim3 block, std::size_t lin) {
 
 /// Per-worker scratch needed to execute blocks.
 struct WorkerState {
-  FiberPool* pool = nullptr;
-  const DeviceProperties* props = nullptr;
   std::vector<ThreadCtx> ctxs;
   std::vector<std::max_align_t> smem;
 };
@@ -79,10 +73,14 @@ struct BlockResult {
   std::uint64_t max_work = 0;
 };
 
-/// Executes one block and returns its charge aggregates.
+/// Executes one block on the calling thread and returns its charge
+/// aggregates.  The calling thread's WorkerState is thread-local, so
+/// contexts and shared memory are reused across launches and devices.
 BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
-                        const LaunchOptions& opts, const KernelFn& kernel,
-                        WorkerState& ws) {
+                        const LaunchOptions& opts,
+                        std::span<const KernelFn> phases,
+                        const DeviceProperties& props) {
+  thread_local WorkerState ws;
   const std::size_t tpb = block.count();
   const Dim3 bidx = UnlinearizeBlock(grid, linear_block);
 
@@ -99,39 +97,13 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
   if (ws.ctxs.size() < tpb) ws.ctxs.resize(tpb);
   for (std::size_t t = 0; t < tpb; ++t) {
     ThreadCtxAccess::Init(ws.ctxs[t], UnlinearizeThread(block, t), bidx,
-                          block, grid, smem_ptr, opts.shared_bytes,
-                          ws.props);
+                          block, grid, smem_ptr, opts.shared_bytes, &props);
   }
 
-  if (opts.cooperative) {
-    auto& fibers = ws.pool->Acquire(tpb);
-    for (std::size_t t = 0; t < tpb; ++t) {
-      ThreadCtx& ctx = ws.ctxs[t];
-      ThreadCtxAccess::SetFiber(ctx, &fibers[t]);
-      fibers[t].Reset([&kernel, &ctx]() { kernel(ctx); });
-    }
-    std::size_t finished = 0;
-    while (finished < tpb) {
-      std::size_t yielded = 0;
-      for (std::size_t t = 0; t < tpb; ++t) {
-        if (fibers[t].done()) continue;
-        if (fibers[t].Resume()) {
-          ++yielded;
-        } else {
-          fibers[t].RethrowIfFailed();
-          ++finished;
-        }
-      }
-      if (yielded > 0 && finished > 0) {
-        throw GpuError(
-            "__syncthreads divergence in block " + ToString(bidx) +
-            ": some threads exited while others wait at a barrier");
-      }
-    }
-  } else {
-    for (std::size_t t = 0; t < tpb; ++t) {
-      kernel(ws.ctxs[t]);
-    }
+  // Every thread finishes a phase before any thread starts the next: the
+  // phase boundary is the block barrier.
+  for (const KernelFn& phase : phases) {
+    for (std::size_t t = 0; t < tpb; ++t) phase(ws.ctxs[t]);
   }
 
   BlockResult res;
@@ -143,60 +115,7 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
   return res;
 }
 
-/// The calling thread's persistent block-execution scratch, used by the
-/// serial and the host-parallel paths alike.  Keeping WorkerState (and one
-/// FiberPool per requested stack size) thread-local makes the steady state
-/// allocation-free: fibers, contexts and shared memory are reused across
-/// launches and across devices, so a serve worker that builds a new Device
-/// per request still reuses its fibers.
-WorkerState& ThreadWorkerState(const DeviceProperties& props,
-                               std::size_t fiber_stack_bytes) {
-  struct TlsState {
-    WorkerState ws;
-    std::unordered_map<std::size_t, FiberPool> pools;
-  };
-  thread_local TlsState tls;
-  auto it = tls.pools.find(fiber_stack_bytes);
-  if (it == tls.pools.end()) {
-    it = tls.pools
-             .emplace(std::piecewise_construct,
-                      std::forward_as_tuple(fiber_stack_bytes),
-                      std::forward_as_tuple(fiber_stack_bytes))
-             .first;
-  }
-  tls.ws.pool = &it->second;
-  tls.ws.props = &props;
-  return tls.ws;
-}
-
-/// Runs one block on the calling thread's scratch.
-BlockResult RunBlockOnThisThread(Dim3 grid, Dim3 block,
-                                 std::size_t linear_block,
-                                 const LaunchOptions& opts,
-                                 const KernelFn& kernel,
-                                 const DeviceProperties& props) {
-  WorkerState& ws = ThreadWorkerState(props, opts.fiber_stack_bytes);
-  try {
-    return RunOneBlock(grid, block, linear_block, opts, kernel, ws);
-  } catch (...) {
-    // Sibling fibers of the failing block remain suspended; drop them so
-    // this thread's pool stays usable for future launches.
-    ws.pool->Clear();
-    throw;
-  }
-}
-
 }  // namespace
-
-void ThreadCtx::syncthreads() {
-  if (fiber_ == nullptr) {
-    if (block_dim.count() == 1) return;  // trivially synchronized
-    throw GpuError(
-        "syncthreads() called in a non-cooperative launch; set "
-        "LaunchOptions::cooperative");
-  }
-  fiber_->Yield();
-}
 
 Device::Device(DeviceProperties props)
     : props_(std::move(props)), model_(props_) {}
@@ -240,16 +159,16 @@ void Device::ValidateLaunch(Dim3 grid, Dim3 block,
 
 double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
                              const LaunchOptions& opts,
-                             const KernelFn& kernel) {
+                             std::span<const KernelFn> phases) {
   ValidateLaunch(grid, block, opts.shared_bytes);
 
   std::uint64_t total_work = 0;
   std::uint64_t max_work = 0;
   const unsigned cap = worker_threads();
   if (cap <= 1 || grid.count() <= 1) {
-    RunBlocksSequential(grid, block, opts, kernel, total_work, max_work);
+    RunBlocksSequential(grid, block, opts, phases, total_work, max_work);
   } else {
-    RunBlocksParallel(grid, block, opts, kernel, cap, total_work,
+    RunBlocksParallel(grid, block, opts, phases, cap, total_work,
                       max_work);
   }
 
@@ -262,9 +181,9 @@ double Device::ExecuteLaunch(Dim3 grid, Dim3 block,
 }
 
 void Device::Launch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                    const KernelFn& kernel) {
+                    std::span<const KernelFn> phases) {
   const double start = sim_time_s_;
-  const double seconds = ExecuteLaunch(grid, block, opts, kernel);
+  const double seconds = ExecuteLaunch(grid, block, opts, phases);
   sim_time_s_ = start + seconds;
   if (trace::Enabled()) {
     trace::Complete(trace::InternName(opts.name), SimNs(start),
@@ -277,7 +196,8 @@ void Device::LaunchAsync(Stream& stream, Dim3 grid, Dim3 block,
   if (stream.device_ != this) {
     throw GpuError("LaunchAsync: stream belongs to another device");
   }
-  const double seconds = ExecuteLaunch(grid, block, opts, kernel);
+  const double seconds = ExecuteLaunch(
+      grid, block, opts, std::span<const KernelFn>(&kernel, 1));
   const double start = std::max(stream.ready_at_, sim_time_s_);
   stream.ready_at_ = start + seconds;
   if (trace::Enabled()) {
@@ -288,12 +208,11 @@ void Device::LaunchAsync(Stream& stream, Dim3 grid, Dim3 block,
 
 void Device::RunBlocksSequential(Dim3 grid, Dim3 block,
                                  const LaunchOptions& opts,
-                                 const KernelFn& kernel,
+                                 std::span<const KernelFn> phases,
                                  std::uint64_t& total_work,
                                  std::uint64_t& max_work) {
   for (std::size_t b = 0; b < grid.count(); ++b) {
-    const BlockResult r =
-        RunBlockOnThisThread(grid, block, b, opts, kernel, props_);
+    const BlockResult r = RunOneBlock(grid, block, b, opts, phases, props_);
     total_work += r.total_work;
     max_work = std::max(max_work, r.max_work);
   }
@@ -301,7 +220,8 @@ void Device::RunBlocksSequential(Dim3 grid, Dim3 block,
 
 void Device::RunBlocksParallel(Dim3 grid, Dim3 block,
                                const LaunchOptions& opts,
-                               const KernelFn& kernel, unsigned cap,
+                               std::span<const KernelFn> phases,
+                               unsigned cap,
                                std::uint64_t& total_work,
                                std::uint64_t& max_work) {
   // Blocks fan out over the process-wide persistent pool; each worker's
@@ -312,8 +232,7 @@ void Device::RunBlocksParallel(Dim3 grid, Dim3 block,
   std::vector<BlockResult> results(grid.count());
   exec::HostThreadPool::Instance().ParallelFor(
       grid.count(), cap, [&](std::size_t b) {
-        results[b] = RunBlockOnThisThread(grid, block, b, opts, kernel,
-                                          props_);
+        results[b] = RunOneBlock(grid, block, b, opts, phases, props_);
       });
   for (const BlockResult& r : results) {
     total_work += r.total_work;

@@ -7,12 +7,12 @@
 ///   sim::Device gpu(sim::GeForceGT560M());
 ///   sim::DeviceBuffer<int> data(gpu, 1024);            // cudaMalloc
 ///   data.CopyFromHost(host_span);                      // cudaMemcpy H2D
-///   gpu.Launch({4}, {192}, opts, [&](sim::ThreadCtx& t) {  // kernel<<<4,192>>>
-///     auto* smem = t.shared_as<int>();
-///     ...
-///     t.syncthreads();
-///     t.charge(n);                                     // timing model input
-///   });
+///   const sim::KernelFn kernel[] = {                   // kernel<<<4,192>>>
+///       [&](sim::ThreadCtx& t) { t.shared_as<int>()[...] = ...; },
+///       // block barrier: the boundary between two phases
+///       [&](sim::ThreadCtx& t) { ...; t.charge(n); },   // timing model input
+///   };
+///   gpu.Launch({4}, {192}, opts, kernel);
 ///   gpu.Synchronize();                                 // cudaDeviceSynchronize
 ///   data.CopyToHost(host_span);                        // cudaMemcpy D2H
 ///
@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +37,6 @@
 namespace cdd::sim {
 
 class Device;
-class Fiber;
 class Stream;
 
 /// Per-simulated-thread view handed to the kernel body.
@@ -61,10 +61,6 @@ class ThreadCtx {
     return static_cast<std::uint64_t>(linear_block()) * block_dim.count() +
            linear_thread();
   }
-
-  /// Block-wide barrier (__syncthreads).  Only valid in cooperative
-  /// launches; throws GpuError otherwise (a real GPU would hang or corrupt).
-  void syncthreads();
 
   /// Start of this block's shared memory (zero-initialized per block; note
   /// that real CUDA leaves shared memory uninitialized).
@@ -105,25 +101,23 @@ class ThreadCtx {
                                       0.5);
   }
 
-  Fiber* fiber_ = nullptr;  // null in non-cooperative launches
   std::byte* shared_ = nullptr;
   std::size_t shared_bytes_ = 0;
   std::uint64_t work_ = 0;
   const DeviceProperties* props_ = nullptr;
 };
 
-/// Kernel body: invoked once per simulated thread.
+/// One kernel phase: invoked once per simulated thread.  A kernel is an
+/// ordered list of phases, and the boundary between two phases is CUDA's
+/// block-wide barrier: a block runs every thread through phase k before
+/// any thread starts phase k+1.  State that must cross a barrier lives in
+/// shared or global memory, never in a phase's locals.
 using KernelFn = std::function<void(ThreadCtx&)>;
 
 /// Per-launch options (the <<<grid, block, smem>>> extras).
 struct LaunchOptions {
   std::string name = "kernel";   ///< profiler key
   std::size_t shared_bytes = 0;  ///< dynamic shared memory per block
-  /// Cooperative launches run block threads as fibers and support
-  /// syncthreads(); non-cooperative launches run threads as a plain loop
-  /// (faster) and forbid barriers.
-  bool cooperative = false;
-  std::size_t fiber_stack_bytes = 64 * 1024;
 };
 
 /// A simulated GPU device.
@@ -143,10 +137,16 @@ class Device {
 
   const DeviceProperties& properties() const { return props_; }
 
-  /// Launches \p kernel on a grid x block geometry.  Throws GpuError for
-  /// configurations the device cannot run.
+  /// Launches the kernel made of \p phases on a grid x block geometry.
+  /// Throws GpuError for configurations the device cannot run.
   void Launch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-              const KernelFn& kernel);
+              std::span<const KernelFn> phases);
+
+  /// A kernel without barriers: one phase.
+  void Launch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
+              const KernelFn& kernel) {
+    Launch(grid, block, opts, std::span<const KernelFn>(&kernel, 1));
+  }
 
   /// Convenience overload with default options.
   void Launch(Dim3 grid, Dim3 block, const KernelFn& kernel) {
@@ -212,13 +212,14 @@ class Device {
   /// Executes all blocks and returns the modeled kernel seconds (shared by
   /// Launch and LaunchAsync).
   double ExecuteLaunch(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                       const KernelFn& kernel);
+                       std::span<const KernelFn> phases);
 
   void RunBlocksSequential(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                           const KernelFn& kernel, std::uint64_t& total_work,
+                           std::span<const KernelFn> phases,
+                           std::uint64_t& total_work,
                            std::uint64_t& max_work);
   void RunBlocksParallel(Dim3 grid, Dim3 block, const LaunchOptions& opts,
-                         const KernelFn& kernel, unsigned cap,
+                         std::span<const KernelFn> phases, unsigned cap,
                          std::uint64_t& total_work,
                          std::uint64_t& max_work);
 

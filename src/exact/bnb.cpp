@@ -349,7 +349,7 @@ struct Dfs {
 };
 
 // ---------------------------------------------------------------------------
-// Shared run control: cooperative stop + node budget, polled in strides.
+// Shared run control: polled stop + node budget, polled in strides.
 
 struct RunControl {
   StopToken stop;

@@ -39,7 +39,7 @@
 /// process-wide sim::exec::HostThreadPool, sharing one atomic incumbent
 /// for pruning; per-root results are reduced in root order afterwards, so
 /// the reduction is deterministic even though exploration is not.
-/// Cooperative cancellation via core/stop_token: a deadline never fails
+/// Cancellation via core/stop_token: a deadline never fails
 /// the solve, it returns the incumbent plus the certified lower bound of
 /// everything left unexplored.
 
@@ -80,7 +80,7 @@ struct BnbParams {
   std::uint64_t max_nodes = 0;
   /// Seed of the warm-start SA chain.
   std::uint64_t seed = 1;
-  /// Cooperative cancellation (deadline / explicit stop).
+  /// Cancellation (deadline / explicit stop).
   StopToken stop{};
   /// Size guard; exceeding it throws ExactLimitError.
   std::size_t max_jobs = kBnbDefaultMaxJobs;

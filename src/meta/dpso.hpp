@@ -28,7 +28,7 @@ struct DpsoParams {
   double c2 = 0.8;  ///< probability of the social crossover F3
   std::uint64_t seed = 1;
   std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations.
+  /// Cancellation, polled between generations.
   StopToken stop{};
   /// Optional lent candidate pool (see SaParams::pool); needs `swarm` rows.
   CandidatePool* pool = nullptr;

@@ -25,7 +25,7 @@ struct EsParams {
   std::uint32_t pert = 4;     ///< mutation strength (shuffled positions)
   std::uint64_t seed = 1;
   std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations.
+  /// Cancellation, polled between generations.
   StopToken stop{};
   /// Optional lent candidate pool (see SaParams::pool); needs
   /// max(mu, lambda) rows.

@@ -51,7 +51,7 @@ struct SaParams {
   std::uint32_t trajectory_stride = 0;
   /// Cooling schedule family (the paper's is exponential).
   CoolingKind cooling = CoolingKind::kExponential;
-  /// Cooperative cancellation, polled every kStopCheckStride iterations.
+  /// Cancellation, polled every kStopCheckStride iterations.
   /// A stopped run returns its best-so-far with RunResult::stopped set;
   /// a run that completes is bit-identical to one without a token.
   StopToken stop{};

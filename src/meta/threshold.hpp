@@ -31,7 +31,7 @@ struct TaParams {
   std::uint64_t temp_samples = 2000;
   std::uint64_t seed = 1;
   std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled every kStopCheckStride iterations.
+  /// Cancellation, polled every kStopCheckStride iterations.
   StopToken stop{};
   /// Optional lent candidate pool (see SaParams::pool); needs one row.
   CandidatePool* pool = nullptr;

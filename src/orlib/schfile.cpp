@@ -2,12 +2,22 @@
 
 #include <fstream>
 #include <istream>
-#include <numeric>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 namespace cdd::orlib {
 namespace {
+
+/// sum(P_i) of a parsed table; rejects tables whose sum overflows Time.
+Time TotalProcessingTime(const JobTable& jobs) {
+  const std::optional<Time> total = CheckedProcessingSum(jobs);
+  if (!total) {
+    throw std::invalid_argument("sch: sum of processing times overflows");
+  }
+  return *total;
+}
 
 /// Line-oriented token reader that tracks line numbers (and optionally the
 /// source file path) for diagnostics.
@@ -175,18 +185,20 @@ void WriteUcddcpFile(std::ostream& out, const std::vector<JobTable>& tables) {
 }
 
 Instance MakeCddInstance(const JobTable& jobs, double h) {
-  const Time total = std::accumulate(
-      jobs.begin(), jobs.end(), Time{0},
-      [](Time acc, const Job& j) { return acc + j.proc; });
-  const Time d = static_cast<Time>(h * static_cast<double>(total));
-  return Instance(Problem::kCdd, d, jobs);
+  const Time total = TotalProcessingTime(jobs);
+  // d must be representable before the cast: NaN and |h * total| >= 2^63
+  // would make it undefined.
+  const double d = h * static_cast<double>(total);
+  constexpr double kTimeLimit = 9223372036854775808.0;  // 2^63
+  if (!(d >= -kTimeLimit && d < kTimeLimit)) {
+    throw std::invalid_argument(
+        "sch: due date h * sum(P_i) is outside the Time range");
+  }
+  return Instance(Problem::kCdd, static_cast<Time>(d), jobs);
 }
 
 Instance MakeUcddcpInstance(const JobTable& jobs) {
-  const Time total = std::accumulate(
-      jobs.begin(), jobs.end(), Time{0},
-      [](Time acc, const Job& j) { return acc + j.proc; });
-  return Instance(Problem::kUcddcp, total, jobs);
+  return Instance(Problem::kUcddcp, TotalProcessingTime(jobs), jobs);
 }
 
 }  // namespace cdd::orlib

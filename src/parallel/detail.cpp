@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "core/eval_raw.hpp"
 #include "core/eval_simd.hpp"
@@ -25,9 +27,10 @@ std::vector<JobId> MakeInitialSequences(std::uint32_t ensemble,
     } else {
       for (std::int32_t i = 0; i < n; ++i) row[i] = (*base)[i];
       if (t > 0) {
-        std::uint32_t positions[8];
-        JobId values[8];
-        raw::PerturbRaw(row, n, 4, rng, positions, values);
+        std::uint32_t positions[4];
+        JobId values[4];
+        PartialFisherYates(std::span<JobId>(row, static_cast<std::size_t>(n)),
+                           4, rng, positions, values);
       }
     }
   }
@@ -53,7 +56,6 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
 
   sim::LaunchOptions opts;
   opts.name = kernel_name;
-  opts.cooperative = use_shared;  // the barrier guards the staging phase
   opts.shared_bytes = use_shared ? shared_bytes : 0;
 
   // Each block evaluates its own slice of the ensemble through the
@@ -81,8 +83,8 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
     device.RecordH2D(static_cast<std::size_t>(pool.count) * pool.stride *
                      sizeof(JobId));
   }
-  device.Launch(
-      config.grid(), config.block(), opts, [=](sim::ThreadCtx& t) {
+  const sim::KernelFn phases[] = {
+      [=](sim::ThreadCtx& t) {
         if (t.linear_thread() == 0) {
           // Block-sliced evaluation: rows are disjoint per block, so
           // concurrent blocks never touch the same costs/pinned entries.
@@ -109,8 +111,9 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
           }
         }
         if (use_shared) {
-          // Cooperative staging: linear block => disjoint strided writes,
-          // then one barrier before anyone reads (Section VI-A).
+          // Block-wide staging: linear block => disjoint strided writes;
+          // the phase boundary is the barrier before anyone reads them
+          // (Section VI-A).
           Cost* s_alpha = t.shared_as<Cost>();
           Cost* s_beta = s_alpha + n;
           const auto tpb = static_cast<std::int32_t>(t.block_dim.count());
@@ -120,7 +123,10 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
             s_alpha[i] = g_alpha[i];
             s_beta[i] = g_beta[i];
           }
-          t.syncthreads();
+        }
+      },
+      [=](sim::ThreadCtx& t) {
+        if (use_shared) {
           t.charge(static_cast<std::uint64_t>(n) / t.block_dim.count() +
                    1);
         }
@@ -153,8 +159,10 @@ void LaunchFitness(sim::Device& device, const DeviceProblem& problem,
             t.charge(penalty_units);
             break;
         }
-        // costs/pinned were written by thread 0's slice evaluation above.
-      });
+        // costs/pinned were written by thread 0's slice evaluation in the
+        // first phase.
+      }};
+  device.Launch(config.grid(), config.block(), opts, phases);
 
   if (transfer.device_staging) {
     std::size_t result_bytes = pool.count * sizeof(Cost);
@@ -195,39 +203,43 @@ void LaunchReduction(sim::Device& device, const LaunchConfig& config,
     return;
   }
 
-  // Tree variant: stage keys in shared memory, fold pairwise behind
-  // barriers (log2(blockDim) rounds), one atomic per *block*.
+  // Tree variant: stage keys in shared memory, then fold pairwise, one
+  // round per phase (the phase boundaries are the barriers), and fire one
+  // atomic per *block* after the last round.  The fold stride is rounded
+  // up to a power of two so odd block sizes fold correctly (reads beyond
+  // tpb are guarded).
+  const std::uint32_t tpb = config.block_size;
+  std::uint32_t rounds = 0;
+  while ((1u << rounds) < tpb) ++rounds;
   sim::LaunchOptions opts;
   opts.name = kernel_name;
-  opts.cooperative = true;
-  opts.shared_bytes = config.block_size * sizeof(std::int64_t);
-  device.Launch(
-      config.grid(), config.block(), opts, [=](sim::ThreadCtx& t) {
-        std::int64_t* keys = t.shared_as<std::int64_t>();
-        const std::uint32_t lt = t.linear_thread();
-        const auto tpb = static_cast<std::uint32_t>(t.block_dim.count());
+  opts.shared_bytes = tpb * sizeof(std::int64_t);
+  std::vector<sim::KernelFn> phases;
+  phases.reserve(rounds + 1);
+  for (std::uint32_t phase = 0; phase <= rounds; ++phase) {
+    phases.emplace_back([=](sim::ThreadCtx& t) {
+      std::int64_t* keys = t.shared_as<std::int64_t>();
+      const std::uint32_t lt = t.linear_thread();
+      if (phase == 0) {
         const std::uint64_t tid = t.global_thread();
         keys[lt] = tid < ensemble
                        ? raw::PackCostThread(
                              costs[tid], static_cast<std::uint32_t>(tid))
                        : std::numeric_limits<std::int64_t>::max();
-        t.syncthreads();
-        // Round stride up to a power of two so odd block sizes fold
-        // correctly (reads beyond tpb are guarded).
-        std::uint32_t stride = 1;
-        while (stride < tpb) stride <<= 1;
-        for (stride >>= 1; stride > 0; stride >>= 1) {
-          if (lt < stride && lt + stride < tpb) {
-            keys[lt] = std::min(keys[lt], keys[lt + stride]);
-          }
-          t.syncthreads();
-          t.charge_shared(1);
+      } else {
+        const std::uint32_t stride = 1u << (rounds - phase);
+        if (lt < stride && lt + stride < tpb) {
+          keys[lt] = std::min(keys[lt], keys[lt + stride]);
         }
-        if (lt == 0) {
-          sim::AtomicMin(packed_best, keys[0]);
-          t.charge(2);
-        }
-      });
+        t.charge_shared(1);
+      }
+      if (phase == rounds && lt == 0) {
+        sim::AtomicMin(packed_best, keys[0]);
+        t.charge(2);
+      }
+    });
+  }
+  device.Launch(config.grid(), config.block(), opts, phases);
 }
 
 void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
@@ -252,7 +264,8 @@ void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
     if (shuffle_now) {
       std::uint32_t positions[kMaxPert];
       JobId values[kMaxPert];
-      raw::PerturbRaw(dst, n, pert, rng, positions, values);
+      PartialFisherYates(std::span<JobId>(dst, static_cast<std::size_t>(n)),
+                         pert, rng, positions, values);
       t.charge(static_cast<std::uint64_t>(n) + 8 * pert);
     } else {
       RandomSwap(std::span<JobId>(dst, static_cast<std::size_t>(n)), rng);

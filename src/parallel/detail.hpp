@@ -56,7 +56,7 @@ enum class PenaltyMemory { kShared, kGlobal, kTexture };
 /// the same CandidatePoolView geometry the host engines batch through,
 /// normally built over device buffers via DeviceView (thread t evaluates
 /// pool.row(t) into pool.costs[t]; pool.pinned may be null).  Penalty
-/// reads go through cooperative shared-memory staging (where they fit),
+/// reads go through block-wide shared-memory staging (where they fit),
 /// read-only texture fetches, or direct global loads, per \p memory.
 ///
 /// Transfer accounting: the view's backend tag decides whether the launch

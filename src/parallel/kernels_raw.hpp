@@ -1,14 +1,13 @@
 #pragma once
 /// \file kernels_raw.hpp
 /// \brief Allocation-free "device function" helpers shared by the parallel
-/// kernels: per-thread RNG streams and perturbation, and the packed keys of
-/// the atomic-min reduction.  The DPSO operators are not here: the update
-/// kernel calls the one swap (core/sequence.hpp) and crossover
-/// (meta/ops.hpp) implementation the serial DPSO uses.
+/// kernels: per-thread RNG streams and the packed keys of the atomic-min
+/// reduction.  The sequence operators are not here: the kernels call the
+/// one perturbation and swap (core/sequence.hpp) and crossover
+/// (meta/ops.hpp) implementation the serial engines use.
 
 #include <cstdint>
 
-#include "core/sequence.hpp"
 #include "core/types.hpp"
 #include "rng/philox.hpp"
 
@@ -37,39 +36,6 @@ inline rng::Philox4x32 MakeStream(std::uint64_t seed,
       ((generation * kRngPhases + static_cast<std::uint64_t>(phase)) << 32) |
       thread;
   return rng::Philox4x32(seed, stream);
-}
-
-/// Partial Fisher–Yates on a raw sequence; \p positions and \p values are
-/// per-thread scratch of at least \p pert elements (the kernels use small
-/// stack arrays).
-inline void PerturbRaw(JobId* seq, std::int32_t n, std::uint32_t pert,
-                       rng::Philox4x32& rng, std::uint32_t* positions,
-                       JobId* values) {
-  if (n < 2 || pert < 2) return;
-  if (pert > static_cast<std::uint32_t>(n)) {
-    pert = static_cast<std::uint32_t>(n);
-  }
-  std::uint32_t chosen = 0;
-  while (chosen < pert) {
-    const std::uint32_t p =
-        cdd::UniformBelow(rng, static_cast<std::uint32_t>(n));
-    bool duplicate = false;
-    for (std::uint32_t k = 0; k < chosen; ++k) {
-      if (positions[k] == p) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) positions[chosen++] = p;
-  }
-  for (std::uint32_t k = 0; k < pert; ++k) values[k] = seq[positions[k]];
-  for (std::uint32_t i = pert; i > 1; --i) {
-    const std::uint32_t j = cdd::UniformBelow(rng, i);
-    const JobId tmp = values[i - 1];
-    values[i - 1] = values[j];
-    values[j] = tmp;
-  }
-  for (std::uint32_t k = 0; k < pert; ++k) seq[positions[k]] = values[k];
 }
 
 // --- packed (cost, thread) reduction keys --------------------------------

@@ -35,7 +35,7 @@ struct ParallelDpsoParams {
   bool vshape_init = false;
   std::uint64_t seed = 1;
   std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations.
+  /// Cancellation, polled between generations.
   StopToken stop{};
 };
 

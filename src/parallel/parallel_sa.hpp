@@ -7,9 +7,9 @@
 /// One generation launches four kernels in order:
 ///   1. perturbation — candidate = partial Fisher–Yates of the current
 ///      sequence (per-thread Philox stream),
-///   2. fitness      — stages alpha/beta into block shared memory behind a
-///      __syncthreads barrier, then evaluates the candidate with the O(n)
-///      algorithm of Section IV,
+///   2. fitness      — stages alpha/beta into block shared memory in one
+///      kernel phase; behind the block barrier that ends it, the candidate
+///      is evaluated with the O(n) algorithm of Section IV,
 ///   3. acceptance   — metropolis rule at the generation's temperature,
 ///      tracking each thread's personal best,
 ///   4. reduction    — atomicMin over packed (cost, thread) keys,
@@ -52,7 +52,7 @@ struct ParallelSaParams {
   detail::ReductionKind reduction = detail::ReductionKind::kAtomic;
   std::uint64_t seed = 1;
   std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, polled between generations (each generation
+  /// Cancellation, polled between generations (each generation
   /// is a full 4-kernel ensemble launch, so the poll is negligible).
   StopToken stop{};
 };

@@ -39,7 +39,7 @@ struct ParallelSaSyncParams {
   /// Record the ensemble's mean Hamming distance to the broadcast state at
   /// every temperature level into GpuRunResult::diversity.
   bool record_diversity = false;
-  /// Cooperative cancellation, polled between temperature levels.
+  /// Cancellation, polled between temperature levels.
   StopToken stop{};
 };
 

@@ -48,7 +48,7 @@ struct EngineOptions {
   /// machinery — "host", "psa-sync" — ignore it).  Result-determining in
   /// the sense that the returned record differs, so CacheKey hashes it.
   std::uint32_t trajectory_stride = 0;
-  /// Cooperative cancellation, forwarded into the engine's search loop.
+  /// Cancellation, forwarded into the engine's search loop.
   StopToken stop{};
   /// Simulated device for the parallel engines.  When null the adapter
   /// creates a private GT 560M per call (what the service does); the CLI

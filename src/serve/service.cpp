@@ -477,7 +477,7 @@ void SolverService::Process(Job&& job, unsigned slot, unsigned depth) {
           Process(std::move(*higher), slot, depth + 1);
           CDD_TRACE_INSTANT("serve.preempt_end");
           // The nested solve re-armed this slot's StopSource for its own
-          // deadline; restore ours before resuming.  Cooperative stops
+          // deadline; restore ours before resuming.  Stops
           // requested during the nested run (CancelAll) are re-applied.
           stop.Reset();
           if (has_deadline) {

@@ -24,7 +24,7 @@
 ///  * Overload sheds lowest-priority work first: past the high watermark
 ///    an arrival either displaces strictly-lower-priority queued work
 ///    (which is answered kShedOverload) or is itself shed.
-///  * Deadlines are honored cooperatively: the worker arms a per-request
+///  * Deadlines are honored by polling: the worker arms a per-request
 ///    StopSource and the engine's search loop truncates; a request whose
 ///    deadline passed while queued is answered without solving at all.
 ///  * Only complete (unstopped) runs enter the result cache, so a cache

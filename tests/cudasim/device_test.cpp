@@ -1,11 +1,12 @@
-/// Device runtime tests: launch geometry, shared memory + barriers,
-/// atomics, divergence detection, worker-pool equivalence.
+/// Device runtime tests: launch geometry, shared memory + phase barriers,
+/// atomics, exception propagation, worker-pool equivalence.
 
 #include "cudasim/device.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "cudasim/atomics.hpp"
@@ -40,25 +41,27 @@ TEST(Device, LaunchValidationRejectsBadGeometry) {
 }
 
 TEST(Device, SharedMemoryStagingWithBarrier) {
-  // Block-cooperative pattern of the paper's fitness kernel: every thread
-  // stages one element, synchronizes, then reads an element staged by a
-  // *different* thread.
+  // Block-wide pattern of the paper's fitness kernel: every thread stages
+  // one element, the barrier ends the phase, then every thread reads an
+  // element staged by a *different* thread.
   Device gpu;
   constexpr std::uint32_t kThreads = 64;
   std::vector<int> out(kThreads * 2, -1);
   int* results = out.data();
 
   LaunchOptions opts;
-  opts.cooperative = true;
   opts.shared_bytes = kThreads * sizeof(int);
-  gpu.Launch({2}, {kThreads}, opts, [results](ThreadCtx& t) {
-    int* smem = t.shared_as<int>();
-    const std::uint32_t lt = t.linear_thread();
-    smem[lt] = static_cast<int>(lt) * 10;
-    t.syncthreads();
-    // Read the neighbour's value: impossible without the barrier.
-    results[t.global_thread()] = smem[(lt + 1) % kThreads];
-  });
+  const KernelFn phases[] = {
+      [](ThreadCtx& t) {
+        const std::uint32_t lt = t.linear_thread();
+        t.shared_as<int>()[lt] = static_cast<int>(lt) * 10;
+      },
+      [results](ThreadCtx& t) {
+        // Read the neighbour's value: impossible without the barrier.
+        const std::uint32_t lt = t.linear_thread();
+        results[t.global_thread()] = t.shared_as<int>()[(lt + 1) % kThreads];
+      }};
+  gpu.Launch({2}, {kThreads}, opts, phases);
 
   for (std::uint32_t b = 0; b < 2; ++b) {
     for (std::uint32_t i = 0; i < kThreads; ++i) {
@@ -76,62 +79,44 @@ TEST(Device, MultipleBarriersStayInLockstep) {
   int* cnt = counter.data();
   int* obs = observed.data();
 
-  LaunchOptions opts;
-  opts.cooperative = true;
-  gpu.Launch({1}, {kThreads}, opts, [cnt, obs](ThreadCtx& t) {
-    for (int phase = 0; phase < 5; ++phase) {
+  // Five rounds of (thread 0 bumps the counter | barrier | every thread
+  // checks it | barrier): ten phases.
+  std::vector<KernelFn> phases;
+  for (int round = 0; round < 5; ++round) {
+    phases.emplace_back([cnt](ThreadCtx& t) {
       if (t.linear_thread() == 0) *cnt += 1;
-      t.syncthreads();
-      // Every thread must observe the same phase count.
-      if (*cnt != phase + 1) obs[t.linear_thread()] = phase;
-      t.syncthreads();
-    }
-  });
+    });
+    phases.emplace_back([cnt, obs, round](ThreadCtx& t) {
+      // Every thread must observe the same round count.
+      if (*cnt != round + 1) obs[t.linear_thread()] = round;
+    });
+  }
+  gpu.Launch({1}, {kThreads}, LaunchOptions{}, phases);
   for (const int o : observed) EXPECT_EQ(o, -1);
-}
-
-TEST(Device, BarrierDivergenceIsDetected) {
-  Device gpu;
-  LaunchOptions opts;
-  opts.cooperative = true;
-  EXPECT_THROW(
-      gpu.Launch({1}, {4}, opts,
-                 [](ThreadCtx& t) {
-                   if (t.linear_thread() == 0) return;  // thread 0 exits
-                   t.syncthreads();  // others wait forever -> UB, detected
-                 }),
-      GpuError);
-}
-
-TEST(Device, SyncthreadsOutsideCooperativeLaunchThrows) {
-  Device gpu;
-  EXPECT_THROW(
-      gpu.Launch({1}, {4}, [](ThreadCtx& t) { t.syncthreads(); }),
-      GpuError);
-  // Single-thread blocks are trivially synchronized.
-  EXPECT_NO_THROW(
-      gpu.Launch({2}, {1}, [](ThreadCtx& t) { t.syncthreads(); }));
+  EXPECT_EQ(counter[0], 5);
 }
 
 TEST(Device, KernelExceptionPropagatesAndDeviceStaysUsable) {
   Device gpu;
-  LaunchOptions opts;
-  opts.cooperative = true;
-  EXPECT_THROW(gpu.Launch({1}, {8}, opts,
-                          [](ThreadCtx& t) {
-                            if (t.linear_thread() == 3) {
-                              throw std::runtime_error("boom");
-                            }
-                            t.syncthreads();
-                          }),
+  std::vector<int> first_phase(8, 0);
+  int* ran = first_phase.data();
+  const KernelFn failing[] = {
+      [ran](ThreadCtx& t) { ran[t.linear_thread()] = 1; },
+      [](ThreadCtx& t) {
+        if (t.linear_thread() == 3) throw std::runtime_error("boom");
+      }};
+  EXPECT_THROW(gpu.Launch({1}, {8}, LaunchOptions{}, failing),
                std::runtime_error);
+  // The barrier held: every thread finished the first phase before the
+  // failure in the second.
+  EXPECT_EQ(std::accumulate(first_phase.begin(), first_phase.end(), 0), 8);
   // The device must survive for the next launch.
   std::vector<int> ok(8, 0);
   int* data = ok.data();
-  EXPECT_NO_THROW(gpu.Launch({1}, {8}, opts, [data](ThreadCtx& t) {
-    data[t.linear_thread()] = 1;
-    t.syncthreads();
-  }));
+  const KernelFn phases[] = {
+      [data](ThreadCtx& t) { data[t.linear_thread()] = 1; },
+      [](ThreadCtx&) {}};
+  EXPECT_NO_THROW(gpu.Launch({1}, {8}, LaunchOptions{}, phases));
   EXPECT_EQ(std::accumulate(ok.begin(), ok.end(), 0), 8);
 }
 
@@ -171,14 +156,13 @@ TEST(Device, WorkerCountDoesNotChangeResults) {
     gpu.set_worker_threads(workers);
     std::vector<std::uint64_t> out(16 * 32, 0);
     std::uint64_t* data = out.data();
-    LaunchOptions opts;
-    opts.cooperative = true;
-    gpu.Launch({16}, {32}, opts, [data](ThreadCtx& t) {
-      const std::uint64_t tid = t.global_thread();
-      data[tid] = tid * 2654435761u;
-      t.syncthreads();
-      data[tid] ^= t.linear_block();
-    });
+    const KernelFn phases[] = {
+        [data](ThreadCtx& t) {
+          const std::uint64_t tid = t.global_thread();
+          data[tid] = tid * 2654435761u;
+        },
+        [data](ThreadCtx& t) { data[t.global_thread()] ^= t.linear_block(); }};
+    gpu.Launch({16}, {32}, LaunchOptions{}, phases);
     return out;
   };
   EXPECT_EQ(run(1), run(4));

@@ -1,6 +1,6 @@
 /// Execution-backend tests: selection plumbing, serial vs host-parallel
 /// bit-identity of kernel results AND modeled time (the virtual-clock
-/// separation), cooperative kernels under real threads, deterministic
+/// separation), phased kernels under real threads, deterministic
 /// error propagation.  The suite name is in the TSan CI regex: these
 /// tests double as the data-race harness for exec::HostThreadPool.
 
@@ -112,28 +112,47 @@ TEST(ExecBackend, ReductionAndModeledTimeAreBitIdenticalToSerial) {
 }
 
 TEST(ExecBackend, CooperativeKernelMatchesSerialAcrossManyBlocks) {
+  // A three-phase shared-memory kernel (two barriers) with per-thread
+  // charges: host-parallel blocks reproduce the serial output and the
+  // serial modeled time bit for bit.
+  struct Run {
+    std::vector<int> out;
+    double sim_time_s = 0.0;
+  };
   const auto run = [](unsigned workers) {
     Device gpu;
     gpu.set_worker_threads(workers);
     constexpr std::uint32_t kBlocks = 16;
     constexpr std::uint32_t kThreads = 32;
-    std::vector<int> out(kBlocks * kThreads, -1);
-    int* results = out.data();
+    Run r;
+    r.out.assign(kBlocks * kThreads, -1);
+    int* results = r.out.data();
     LaunchOptions opts;
-    opts.cooperative = true;
     opts.shared_bytes = kThreads * sizeof(int);
-    gpu.Launch({kBlocks}, {kThreads}, opts, [results](ThreadCtx& t) {
-      int* smem = t.shared_as<int>();
-      const std::uint32_t lt = t.linear_thread();
-      smem[lt] = static_cast<int>(t.global_thread());
-      t.syncthreads();
-      results[t.global_thread()] = smem[(lt + 5) % kThreads];
-      t.syncthreads();
-    });
-    return out;
+    const KernelFn phases[] = {
+        [](ThreadCtx& t) {
+          t.shared_as<int>()[t.linear_thread()] =
+              static_cast<int>(t.global_thread());
+          t.charge(1 + t.linear_thread() % 3);
+        },
+        [results](ThreadCtx& t) {
+          const std::uint32_t lt = t.linear_thread();
+          results[t.global_thread()] = t.shared_as<int>()[(lt + 5) % kThreads];
+          t.charge_shared(2 + t.linear_block());
+        },
+        [](ThreadCtx& t) { t.charge(t.global_thread() % 7); }};
+    gpu.Launch({kBlocks}, {kThreads}, opts, phases);
+    r.sim_time_s = gpu.sim_time_s();
+    return r;
   };
-  const std::vector<int> serial = run(1);
-  EXPECT_EQ(run(4), serial);
+  const Run serial = run(1);
+  for (std::uint32_t i = 0; i < serial.out.size(); ++i) {
+    const std::uint32_t block = i / 32;
+    ASSERT_EQ(serial.out[i], static_cast<int>(block * 32 + (i % 32 + 5) % 32));
+  }
+  const Run parallel = run(4);
+  EXPECT_EQ(parallel.out, serial.out);
+  EXPECT_EQ(parallel.sim_time_s, serial.sim_time_s);
 }
 
 TEST(ExecBackend, LowestBlockErrorWinsAndDeviceSurvives) {

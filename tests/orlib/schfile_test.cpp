@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "orlib/biskup_feldmann.hpp"
 
@@ -58,6 +60,30 @@ TEST(SchFile, MakeInstancesDeriveDueDates) {
   EXPECT_EQ(ucddcp.due_date(), 20);
   EXPECT_TRUE(ucddcp.is_unrestricted());
   EXPECT_NO_THROW(ucddcp.Validate());
+}
+
+TEST(SchFile, MakeInstancesRejectOverflowingProcessingTimes) {
+  // Three 4e18 processing times parse, but their sum leaves Time: both
+  // makers reject the table before any unchecked arithmetic.
+  std::stringstream stream(
+      "1\n3\n4000000000000000000 1 2\n4000000000000000000 1 2\n"
+      "4000000000000000000 1 2\n");
+  const auto tables = ParseCddFile(stream);
+  EXPECT_THROW(MakeCddInstance(tables[0], 0.4), std::invalid_argument);
+  std::stringstream stream5(
+      "1\n3\n4000000000000000000 0 1 2 0\n4000000000000000000 0 1 2 0\n"
+      "4000000000000000000 0 1 2 0\n");
+  const auto tables5 = ParseUcddcpFile(stream5);
+  EXPECT_THROW(MakeUcddcpInstance(tables5[0]), std::invalid_argument);
+
+  // Two of them sum to 8e18, which fits; h * sum must fit Time too.
+  std::stringstream pair("1\n2\n4000000000000000000 1 2\n"
+                         "4000000000000000000 1 2\n");
+  const auto pairs = ParseCddFile(pair);
+  EXPECT_THROW(MakeCddInstance(pairs[0], 2.0), std::invalid_argument);
+  EXPECT_THROW(MakeCddInstance(pairs[0], std::nan("")),
+               std::invalid_argument);
+  EXPECT_EQ(MakeCddInstance(pairs[0], 0.5).due_date(), 4000000000000000000);
 }
 
 TEST(SchFile, TruncatedFileReportsLineNumber) {

@@ -1,17 +1,23 @@
-/// Raw device-function helper tests: perturbation, the DPSO crossovers on
-/// per-thread raw buffers, RNG stream layout, packed reduction keys.
+/// Raw device-function helper tests: the perturbation and the DPSO
+/// crossovers on per-thread raw buffers, RNG stream layout, packed
+/// reduction keys.
 
 #include "parallel/kernels_raw.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
+#include "core/sequence.hpp"
 #include "meta/ops.hpp"
 #include "parallel/launch_config.hpp"
 
 namespace cdd::par::raw {
 namespace {
+
+// The perturbation kernel calls core's allocation-free partial
+// Fisher–Yates on a raw device row with stack scratch, as below.
 
 TEST(PerturbRaw, ProducesPermutationsAndBoundedChanges) {
   rng::Philox4x32 rng(1, 2);
@@ -19,7 +25,8 @@ TEST(PerturbRaw, ProducesPermutationsAndBoundedChanges) {
   JobId values[8];
   for (int trial = 0; trial < 200; ++trial) {
     Sequence seq = IdentitySequence(25);
-    PerturbRaw(seq.data(), 25, 4, rng, positions, values);
+    JobId* row = seq.data();
+    PartialFisherYates(std::span<JobId>(row, 25), 4, rng, positions, values);
     ASSERT_TRUE(IsPermutation(seq));
     std::size_t changed = 0;
     for (std::size_t i = 0; i < seq.size(); ++i) {
@@ -34,10 +41,12 @@ TEST(PerturbRaw, ClampsPertAndHandlesTinySequences) {
   std::uint32_t positions[8];
   JobId values[8];
   Sequence one = IdentitySequence(1);
-  PerturbRaw(one.data(), 1, 4, rng, positions, values);
+  PartialFisherYates(std::span<JobId>(one.data(), 1), 4, rng, positions,
+                     values);
   EXPECT_EQ(one, IdentitySequence(1));
   Sequence three = IdentitySequence(3);
-  PerturbRaw(three.data(), 3, 8, rng, positions, values);
+  PartialFisherYates(std::span<JobId>(three.data(), 3), 8, rng, positions,
+                     values);
   EXPECT_TRUE(IsPermutation(three));
 }
 
