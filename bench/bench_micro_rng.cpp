@@ -101,14 +101,15 @@ void BM_PhiloxFill(benchmark::State& state, FillKernel kernel) {
           benchmark::Counter::kInvert);
 }
 
-/// The Salamon T0 sampling's shuffle: a full Fisher–Yates fed by the
-/// buffered bulk stream instead of one Philox4x32 call per draw.
+/// The Salamon T0 sampling's shuffle: BulkPhilox::Shuffle, which takes a
+/// pass's outputs from the buffered bulk stream at once, maps them to
+/// indices in one pass and then only swaps.
 void BM_BulkFisherYates(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   cdd::rng::BulkPhilox rng(1, 2);
   cdd::Sequence seq = cdd::IdentitySequence(n);
   for (auto _ : state) {
-    cdd::FisherYates(std::span<cdd::JobId>(seq), rng);
+    rng.Shuffle(seq);
     benchmark::DoNotOptimize(seq.data());
   }
 }

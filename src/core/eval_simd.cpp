@@ -242,6 +242,12 @@ void StoreLanes(const Cost* cost, const std::int64_t* pinned,
 // the kernel entirely.
 // ---------------------------------------------------------------------------
 
+/// Rows per AVX2 lane group.  A smaller batch would run nothing but the
+/// scalar tail, so it goes straight to the scalar batch and never builds
+/// the packed columns: the annealing chain's one-row pool pays one O(n)
+/// fused walk per evaluation, not three O(n) packing passes on top.
+constexpr std::int32_t kAvx2Lanes = 4;
+
 constexpr std::int64_t kFieldLimit = std::int64_t{1} << 16;
 constexpr std::int64_t kSumLimit = std::int64_t{1} << 31;
 
@@ -963,7 +969,8 @@ void EvalCddBatchSimd(std::int32_t n, Time d, const JobId* seqs,
                       Cost* costs, std::int32_t* pinned,
                       Time* offsets) noexcept {
 #if defined(CDD_SIMD_X86)
-  if (core::HostCpuFeatures().avx2 && Packable(n, d, proc, alpha, beta)) {
+  if (batch >= kAvx2Lanes && core::HostCpuFeatures().avx2 &&
+      Packable(n, d, proc, alpha, beta)) {
     const std::uint32_t* packE = PackEarly32(n, proc, alpha);
     const std::uint32_t* packT = PackTardy32(n, proc, beta);
     std::int32_t b = 0;
@@ -971,7 +978,7 @@ void EvalCddBatchSimd(std::int32_t n, Time d, const JobId* seqs,
       EvalCddGroup8Avx2(n, d, seqs, static_cast<std::int64_t>(b) * stride,
                         stride, packE, packT, b, costs, pinned, offsets);
     }
-    for (; b + 4 <= batch; b += 4) {
+    for (; b + kAvx2Lanes <= batch; b += kAvx2Lanes) {
       EvalCddGroupAvx2(n, d, seqs, static_cast<std::int64_t>(b) * stride,
                        stride, packE, packT, b, costs, pinned, offsets);
     }
@@ -1001,8 +1008,8 @@ void EvalUcddcpBatchSimd(std::int32_t n, Time d, const JobId* seqs,
                          const Cost* gamma, Cost* costs,
                          std::int32_t* pinned, Time* offsets) noexcept {
 #if defined(CDD_SIMD_X86)
-  if (core::HostCpuFeatures().avx2 && Packable(n, d, proc, alpha, beta) &&
-      Packable2(n, minproc, gamma)) {
+  if (batch >= kAvx2Lanes && core::HostCpuFeatures().avx2 &&
+      Packable(n, d, proc, alpha, beta) && Packable2(n, minproc, gamma)) {
     const std::uint32_t* packE = PackEarly32(n, proc, alpha);
     const std::uint32_t* packT = PackTardy32(n, proc, beta);
     const std::uint32_t* packC = PackCompression32(n, minproc, gamma);
@@ -1012,7 +1019,7 @@ void EvalUcddcpBatchSimd(std::int32_t n, Time d, const JobId* seqs,
                            static_cast<std::int64_t>(b) * stride, stride,
                            packE, packT, packC, b, costs, pinned, offsets);
     }
-    for (; b + 4 <= batch; b += 4) {
+    for (; b + kAvx2Lanes <= batch; b += kAvx2Lanes) {
       EvalUcddcpGroupAvx2(n, d, seqs,
                           static_cast<std::int64_t>(b) * stride, stride,
                           packE, packT, packC, b, costs, pinned, offsets);

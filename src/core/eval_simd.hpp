@@ -13,7 +13,9 @@
 /// counterpart would have broken (masked retirement in the portable
 /// kernels, a short scalar per-lane walk in the AVX2 build).  Rows
 /// beyond the last full lane group go through the scalar fused
-/// evaluator (the "scalar tail").
+/// evaluator (the "scalar tail").  In the AVX2 build a batch of fewer
+/// than 4 rows would be all tail, so it takes the scalar batch directly
+/// and never builds the packed 32-bit columns.
 ///
 /// Bit-identity: every quantity is an exact 64-bit integer and the lane
 /// math performs the same additions, subtractions, comparisons and
@@ -73,7 +75,8 @@ bool SimdBatchAvailable() noexcept;
 const char* SimdBatchIsa() noexcept;
 
 /// SIMD build of raw::EvalCddBatch (identical signature and results).
-/// Falls back to the scalar batch when SimdBatchAvailable() is false.
+/// Falls back to the scalar batch when SimdBatchAvailable() is false, and
+/// on AVX2 hosts for batches of fewer than 4 rows.
 void EvalCddBatchSimd(std::int32_t n, Time d, const JobId* seqs,
                       std::int32_t stride, std::int32_t batch,
                       const Time* proc, const Cost* alpha, const Cost* beta,

@@ -41,7 +41,10 @@ inline std::uint32_t UniformBelow(Rng& rng, std::uint32_t bound) {
   return static_cast<std::uint32_t>((x * bound) >> 32);
 }
 
-/// Fisher–Yates shuffle of the whole range (Cormen et al. [14]).
+/// Fisher–Yates shuffle of the whole range (Cormen et al. [14]).  Every
+/// shuffle in the library runs this template; the one bulk variant,
+/// rng::BulkPhilox::Shuffle for the Salamon T0 sampling, makes exactly its
+/// swaps from the same draws (tests/rng/philox_test.cpp pins that).
 template <std::uniform_random_bit_generator Rng>
 inline void FisherYates(std::span<JobId> seq, Rng& rng) {
   for (std::size_t i = seq.size(); i > 1; --i) {

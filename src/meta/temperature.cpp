@@ -12,7 +12,8 @@ namespace cdd::meta {
 double InitialTemperature(const SequenceObjective& objective,
                           std::uint64_t samples, std::uint64_t seed) {
   // The buffered stream yields exactly Philox4x32(seed, stream)'s outputs,
-  // with the Philox blocks encrypted in bulk.
+  // with the Philox blocks encrypted in bulk; its Shuffle makes the same
+  // swaps as FisherYates with the indices of a whole pass mapped at once.
   rng::BulkPhilox rng(seed, /*stream=*/0x70DEADBEEFULL);
   Sequence seq = IdentitySequence(objective.size());
   // Sampling runs in pool-sized chunks: each chunk reshuffles `seq`
@@ -33,7 +34,7 @@ double InitialTemperature(const SequenceObjective& objective,
     pool.Clear();
     const std::uint64_t batch = std::min<std::uint64_t>(samples - k, kChunk);
     for (std::uint64_t b = 0; b < batch; ++b) {
-      FisherYates(std::span<JobId>(seq), rng);
+      rng.Shuffle(seq);
       const std::size_t row = pool.Append(seq);
       if (machines > 1) {
         // Sample the temperature over even machine assignments: the split

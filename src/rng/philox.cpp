@@ -1,6 +1,7 @@
 #include "rng/philox.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/cpu_features.hpp"
 
@@ -149,6 +150,29 @@ __attribute__((target("avx2"))) void Avx2Pass(
   StoreLanes8(b, out + 32);
 }
 
+/// Lemire indices of eight words per step: vpmuludq multiplies the even
+/// lanes by their bounds, the odd lanes are shifted down for a second
+/// multiply, and a blend gathers the high halves.  Returns the number of
+/// words mapped, a multiple of 8; MapBelowAvx2 maps the rest.
+__attribute__((target("avx2"))) std::size_t MapBelowPass(
+    std::uint32_t top, std::span<std::uint32_t> words) {
+  __m256i bound = _mm256_sub_epi32(_mm256_set1_epi32(static_cast<int>(top)),
+                                   _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i step = _mm256_set1_epi32(8);
+  std::size_t k = 0;
+  for (; words.size() - k >= 8; k += 8) {
+    auto* at = reinterpret_cast<__m256i*>(words.data() + k);
+    const __m256i w = _mm256_loadu_si256(at);
+    const __m256i even = _mm256_mul_epu32(w, bound);
+    const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(w, 32),
+                                         _mm256_srli_epi64(bound, 32));
+    _mm256_storeu_si256(
+        at, _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA));
+    bound = _mm256_sub_epi32(bound, step);
+  }
+  return k;
+}
+
 #endif  // CDD_PHILOX_X86
 
 }  // namespace
@@ -193,7 +217,53 @@ void PhiloxBlocksAvx2(std::array<std::uint32_t, 4> counter,
   PhiloxBlocksPortable(counter, key, out.subspan(i));
 }
 
+void MapBelowPortable(std::uint32_t top, std::span<std::uint32_t> words) {
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    const std::uint64_t bound = top - static_cast<std::uint32_t>(k);
+    words[k] = static_cast<std::uint32_t>((words[k] * bound) >> 32);
+  }
+}
+
+void MapBelowAvx2(std::uint32_t top, std::span<std::uint32_t> words) {
+  std::size_t k = 0;
+#if defined(CDD_PHILOX_X86)
+  k = MapBelowPass(top, words);
+#endif
+  MapBelowPortable(top - static_cast<std::uint32_t>(k), words.subspan(k));
+}
+
 }  // namespace detail
+
+void BulkPhilox::Take(std::span<std::uint32_t> out) {
+  std::size_t i = 0;
+  while (i < out.size()) {
+    if (next_ == buffer_.size()) {
+      rng_.Fill(buffer_);
+      next_ = 0;
+    }
+    const std::size_t count =
+        std::min(out.size() - i, buffer_.size() - next_);
+    std::copy_n(buffer_.begin() + next_, count, out.begin() + i);
+    next_ += count;
+    i += count;
+  }
+}
+
+void BulkPhilox::Shuffle(std::span<JobId> seq) {
+  if (seq.size() < 2) return;
+  const std::size_t last = seq.size() - 1;
+  draws_.resize(last);
+  Take(draws_);
+  const auto top = static_cast<std::uint32_t>(seq.size());
+  if (core::HostCpuFeatures().avx2) {
+    detail::MapBelowAvx2(top, draws_);
+  } else {
+    detail::MapBelowPortable(top, draws_);
+  }
+  for (std::size_t k = 0; k < last; ++k) {
+    std::swap(seq[last - k], seq[draws_[k]]);
+  }
+}
 
 void Philox4x32::Fill(std::span<std::uint32_t> out) {
   // 1. The rest of the current block.

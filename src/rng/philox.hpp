@@ -22,6 +22,9 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <vector>
+
+#include "core/types.hpp"
 
 namespace cdd::rng {
 
@@ -111,6 +114,16 @@ void PhiloxBlocksAvx2(std::array<std::uint32_t, 4> counter,
                       std::array<std::uint32_t, 2> key,
                       std::span<std::uint32_t> out);
 
+/// The index kernels behind BulkPhilox::Shuffle, exposed for the same
+/// reason.  Each maps words[k] in place to (words[k] * (top - k)) >> 32,
+/// the index UniformBelow(rng, top - k) gives for that output, so the
+/// words of one Fisher–Yates pass become its swap partners.
+/// words.size() must not exceed top.  The portable kernel maps one word
+/// at a time; the AVX2 kernel maps eight per vpmuludq pair, under the same
+/// call rule as PhiloxBlocksAvx2.
+void MapBelowPortable(std::uint32_t top, std::span<std::uint32_t> words);
+void MapBelowAvx2(std::uint32_t top, std::span<std::uint32_t> words);
+
 }  // namespace detail
 
 /// \brief Philox4x32-10 stream generator.
@@ -191,9 +204,10 @@ class Philox4x32 {
 /// Yields exactly the outputs of Philox4x32(seed, stream), refilling a
 /// 256-word buffer through Philox4x32::Fill.  Satisfies
 /// std::uniform_random_bit_generator, so FisherYates and the other
-/// sequence operators consume it unchanged.  Philox4x32 itself stays
-/// small: cudasim builds one per simulated thread and the annealing
-/// checkpoints copy it.
+/// sequence operators consume it unchanged.  Whole shuffles go through
+/// Shuffle, which draws a pass's words with one Take and maps them to
+/// indices in bulk.  Philox4x32 itself stays small: cudasim builds one per
+/// simulated thread and the annealing checkpoints copy it.
 class BulkPhilox {
  public:
   using result_type = std::uint32_t;
@@ -212,12 +226,26 @@ class BulkPhilox {
     return buffer_[next_++];
   }
 
+  /// Writes the next out.size() outputs, exactly the values that many
+  /// operator() calls would return, refilling the buffer as often as
+  /// needed.
+  void Take(std::span<std::uint32_t> out);
+
+  /// Shuffles \p seq exactly as FisherYates(seq, *this) would: the same
+  /// swaps, from the same seq.size() - 1 outputs, leaving the stream
+  /// where those draws would.  UniformBelow never rejects, so the outputs
+  /// are taken with one Take, mapped to their indices in one
+  /// detail::MapBelow pass (AVX2 when the host has it), and the loop
+  /// after that only swaps.
+  void Shuffle(std::span<JobId> seq);
+
  private:
   static constexpr std::size_t kBufferWords = 256;
 
   Philox4x32 rng_;
   std::array<std::uint32_t, kBufferWords> buffer_{};
   std::size_t next_ = kBufferWords;
+  std::vector<std::uint32_t> draws_;  // Shuffle's words, then its indices
 };
 
 }  // namespace cdd::rng

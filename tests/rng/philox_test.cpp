@@ -1,6 +1,7 @@
 /// Philox4x32-10 and companion generator tests: known-answer vectors,
 /// stream independence, random access, uniformity, and the bulk Fill path
-/// (which must reproduce operator() output for output, state included).
+/// (which must reproduce operator() output for output, state included),
+/// and the bulk shuffle (which must make FisherYates's swaps exactly).
 
 #include "rng/philox.hpp"
 
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/cpu_features.hpp"
+#include "core/sequence.hpp"
 
 namespace cdd::rng {
 namespace {
@@ -237,6 +239,82 @@ TEST(BulkPhilox, YieldsThePhiloxStream) {
       ASSERT_EQ(bulk(), twin()) << "seed " << seed << " draw " << i;
     }
   }
+}
+
+TEST(BulkPhilox, TakeYieldsThePhiloxStreamAcrossRefills) {
+  // Pieces of every size around the 256-word buffer, mixed with single
+  // draws, so Take starts from every kind of buffer position.
+  BulkPhilox bulk(0xabcULL, 3);
+  Philox4x32 twin(0xabcULL, 3);
+  for (const std::size_t length :
+       {0u, 1u, 255u, 256u, 257u, 3u, 511u, 512u, 1000u, 100u}) {
+    std::vector<std::uint32_t> taken(length);
+    bulk.Take(taken);
+    EXPECT_EQ(taken, Draw(twin, length)) << "length " << length;
+    ASSERT_EQ(bulk(), twin()) << "draw after length " << length;
+  }
+}
+
+TEST(BulkPhilox, ShuffleMatchesFisherYatesOnPhilox) {
+  for (const std::size_t n :
+       {0u, 1u, 2u, 3u, 4u, 5u, 8u, 9u, 99u, 100u, 255u, 256u, 257u, 1000u}) {
+    BulkPhilox bulk(0x5eedULL, 0x70DEADBEEFULL);
+    Philox4x32 twin(0x5eedULL, 0x70DEADBEEFULL);
+    Sequence shuffled = IdentitySequence(n);
+    Sequence expected = IdentitySequence(n);
+    // Enough cumulative shuffles that the draws cross several refills of
+    // the 256-word buffer at varying offsets.
+    for (int pass = 0; pass < 12; ++pass) {
+      bulk.Shuffle(shuffled);
+      FisherYates(std::span<JobId>(expected), twin);
+      ASSERT_EQ(shuffled, expected) << "n " << n << " pass " << pass;
+      ASSERT_EQ(bulk(), twin()) << "n " << n << " pass " << pass;
+    }
+  }
+}
+
+/// Lemire's index of \p word below \p bound, as UniformBelow computes it.
+std::uint32_t LemireIndex(std::uint32_t word, std::uint32_t bound) {
+  return static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(word) * bound) >> 32);
+}
+
+/// For every top from 1 to 1025, a pass of top words mapped with bounds
+/// top, top - 1, ..., 1: each edge word fills one pass, so it meets every
+/// bound, and a random pass follows.
+template <typename Check>
+void ForEachMapBelowCase(Check check) {
+  Philox4x32 source(0xfaceULL, 9);
+  for (std::uint32_t top = 1; top <= 1025; ++top) {
+    for (const std::uint32_t edge : {0u, 1u, 0x80000000u, 0xffffffffu}) {
+      check(top, std::vector<std::uint32_t>(top, edge));
+    }
+    check(top, Draw(source, top));
+  }
+}
+
+TEST(MapBelow, PortableKernelIsUniformBelow) {
+  ForEachMapBelowCase([](std::uint32_t top, std::vector<std::uint32_t> words) {
+    std::vector<std::uint32_t> mapped = words;
+    detail::MapBelowPortable(top, mapped);
+    for (std::uint32_t k = 0; k < top; ++k) {
+      ASSERT_EQ(mapped[k], LemireIndex(words[k], top - k))
+          << "top " << top << " k " << k;
+      ASSERT_LT(mapped[k], top - k);
+    }
+  });
+}
+
+TEST(MapBelow, Avx2KernelMatchesPortableKernel) {
+  if (!core::HostCpuFeatures().avx2) {
+    GTEST_SKIP() << "host CPU has no AVX2";
+  }
+  ForEachMapBelowCase([](std::uint32_t top, std::vector<std::uint32_t> words) {
+    std::vector<std::uint32_t> avx2 = words;
+    detail::MapBelowAvx2(top, avx2);
+    detail::MapBelowPortable(top, words);
+    ASSERT_EQ(avx2, words) << "top " << top;
+  });
 }
 
 TEST(SplitMix64, KnownFirstOutputs) {
