@@ -2,14 +2,16 @@
 /// \brief RNG microbenchmarks: Philox4x32-10 (the cuRAND stand-in) vs
 /// xoshiro256**, plus the paper's integer->[0,1] normalization, the
 /// perturbation operator, the bulk Fill kernels behind BulkPhilox
-/// (registered for each kernel the host CPU can run), and the DPSO's
-/// random-cut crossovers and whole generation.
+/// (registered for each kernel the host CPU can run), the per-thread
+/// stream openings of one device launch, and the DPSO's random-cut
+/// crossovers and whole generation.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/cpu_features.hpp"
@@ -100,6 +102,48 @@ void BM_PhiloxFill(benchmark::State& state, FillKernel kernel) {
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
+
+/// One launch's worth of per-thread stream openings, as the device
+/// kernels need them: every thread's first output of its (generation,
+/// phase) stream.  BM_MakeStreamFirstBlock opens each stream on its own
+/// (one scalar block per thread); BM_StreamHeads draws all block 0 heads
+/// in one rng::StreamHeads pass and opens each stream from its head.
+/// The `per_thread` counter is the time per simulated thread.
+constexpr std::uint32_t kHeadStreamHi = 4 * 1000 + 2;  // (g=1000, accept)
+
+void SetPerThread(benchmark::State& state, std::uint32_t threads) {
+  state.counters["per_thread"] = benchmark::Counter(
+      threads, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+
+void BM_MakeStreamFirstBlock(benchmark::State& state) {
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      cdd::rng::Philox4x32 rng(42, (std::uint64_t{kHeadStreamHi} << 32) | t);
+      benchmark::DoNotOptimize(rng());
+    }
+  }
+  SetPerThread(state, threads);
+}
+BENCHMARK(BM_MakeStreamFirstBlock)->Arg(768);
+
+void BM_StreamHeads(benchmark::State& state) {
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  std::vector<std::uint32_t> heads(4 * std::size_t{threads});
+  const std::span<const std::uint32_t> words(heads);
+  for (auto _ : state) {
+    cdd::rng::StreamHeads(42, kHeadStreamHi, 0, heads);
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      cdd::rng::Philox4x32 rng(42, (std::uint64_t{kHeadStreamHi} << 32) | t,
+                               words.subspan(4 * std::size_t{t}).first<4>());
+      benchmark::DoNotOptimize(rng());
+    }
+  }
+  SetPerThread(state, threads);
+}
+BENCHMARK(BM_StreamHeads)->Arg(768);
 
 /// The Salamon T0 sampling's shuffle: BulkPhilox::Shuffle, which takes a
 /// pass's outputs from the buffered bulk stream at once, maps them to

@@ -53,15 +53,6 @@ Dim3 UnlinearizeBlock(Dim3 grid, std::size_t lin) {
   return idx;
 }
 
-Dim3 UnlinearizeThread(Dim3 block, std::size_t lin) {
-  Dim3 idx;
-  idx.x = static_cast<std::uint32_t>(lin % block.x);
-  const std::size_t rest = lin / block.x;
-  idx.y = static_cast<std::uint32_t>(rest % block.y);
-  idx.z = static_cast<std::uint32_t>(rest / block.y);
-  return idx;
-}
-
 /// Per-worker scratch needed to execute blocks.
 struct WorkerState {
   std::vector<ThreadCtx> ctxs;
@@ -94,10 +85,17 @@ BlockResult RunOneBlock(Dim3 grid, Dim3 block, std::size_t linear_block,
   }
   std::byte* smem_ptr = reinterpret_cast<std::byte*>(ws.smem.data());
 
+  // Contexts in linear thread order (x fastest), so ctxs[t] has
+  // linear_thread() == t.
   if (ws.ctxs.size() < tpb) ws.ctxs.resize(tpb);
-  for (std::size_t t = 0; t < tpb; ++t) {
-    ThreadCtxAccess::Init(ws.ctxs[t], UnlinearizeThread(block, t), bidx,
-                          block, grid, smem_ptr, opts.shared_bytes, &props);
+  ThreadCtx* ctx = ws.ctxs.data();
+  for (std::uint32_t z = 0; z < block.z; ++z) {
+    for (std::uint32_t y = 0; y < block.y; ++y) {
+      for (std::uint32_t x = 0; x < block.x; ++x) {
+        ThreadCtxAccess::Init(*ctx++, {x, y, z}, bidx, block, grid, smem_ptr,
+                              opts.shared_bytes, &props);
+      }
+    }
   }
 
   // Every thread finishes a phase before any thread starts the next: the

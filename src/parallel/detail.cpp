@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <vector>
@@ -244,7 +245,8 @@ void LaunchReduction(sim::Device& device, const LaunchConfig& config,
 
 void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
                         const JobId* curr, JobId* cand, std::int32_t n,
-                        std::uint64_t seed, std::uint64_t g, std::uint32_t pert,
+                        const raw::ThreadStreams& streams, std::uint64_t g,
+                        std::uint32_t pert,
                         meta::NeighborhoodMode neighborhood,
                         std::uint32_t shuffle_period, const char* kernel_name) {
   const std::uint32_t ensemble = config.ensemble();
@@ -259,8 +261,7 @@ void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
     const JobId* src = curr + tid * n;
     JobId* dst = cand + tid * n;
     for (std::int32_t i = 0; i < n; ++i) dst[i] = src[i];
-    rng::Philox4x32 rng = raw::MakeStream(seed, g, raw::RngPhase::kPerturb,
-                                          static_cast<std::uint32_t>(tid));
+    rng::Philox4x32 rng = streams.Open(static_cast<std::uint32_t>(tid));
     if (shuffle_now) {
       std::uint32_t positions[kMaxPert];
       JobId values[kMaxPert];
@@ -271,6 +272,40 @@ void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
       RandomSwap(std::span<JobId>(dst, static_cast<std::size_t>(n)), rng);
       t.charge(static_cast<std::uint64_t>(n) + 2);
     }
+  });
+}
+
+void LaunchAcceptance(sim::Device& device, const LaunchConfig& config,
+                      JobId* curr, Cost* curr_cost, const JobId* cand,
+                      const Cost* cand_cost, JobId* best, Cost* best_cost,
+                      std::int32_t n, double temp,
+                      const raw::ThreadStreams& streams,
+                      const char* kernel_name) {
+  const std::uint32_t ensemble = config.ensemble();
+  sim::LaunchOptions opts;
+  opts.name = kernel_name;
+  device.Launch(config.grid(), config.block(), opts, [=](sim::ThreadCtx& t) {
+    const std::uint64_t tid = t.global_thread();
+    if (tid >= ensemble) return;
+    const Cost e = curr_cost[tid];
+    const Cost e_new = cand_cost[tid];
+    if (e_new <= e ||
+        std::exp(static_cast<double>(e - e_new) / temp) >=
+            static_cast<double>(
+                streams.Open(static_cast<std::uint32_t>(tid)).NextUniform())) {
+      JobId* cur = curr + tid * n;
+      const JobId* cnd = cand + tid * n;
+      for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
+      curr_cost[tid] = e_new;
+      if (best != nullptr && e_new < best_cost[tid]) {
+        best_cost[tid] = e_new;
+        JobId* bst = best + tid * n;
+        for (std::int32_t i = 0; i < n; ++i) bst[i] = cnd[i];
+        t.charge(static_cast<std::uint64_t>(n));
+      }
+      t.charge(static_cast<std::uint64_t>(n));
+    }
+    t.charge(4);
   });
 }
 

@@ -12,6 +12,7 @@
 #include "cudasim/memory.hpp"
 #include "meta/sa.hpp"  // NeighborhoodMode
 #include "parallel/device_problem.hpp"
+#include "parallel/kernels_raw.hpp"
 #include "parallel/launch_config.hpp"
 
 namespace cdd::par::detail {
@@ -76,14 +77,32 @@ inline constexpr std::uint32_t kMaxPert = 32;
 /// Launches the SA perturbation kernel of Section VI-B, shared by the
 /// asynchronous and the synchronous SA: thread t copies row t of \p curr
 /// into \p cand and perturbs it from its (seed, g, kPerturb, t) Philox
-/// stream — the Pert-sized partial Fisher-Yates shuffle on shuffle
-/// generations (every generation under kShuffleEveryIteration, else every
-/// \p shuffle_period-th; \p g is 1-based), a cheap swap otherwise.
+/// stream in \p streams — the Pert-sized partial Fisher-Yates shuffle on
+/// shuffle generations (every generation under kShuffleEveryIteration,
+/// else every \p shuffle_period-th; \p g is 1-based), a cheap swap
+/// otherwise.
 void LaunchPerturbation(sim::Device& device, const LaunchConfig& config,
                         const JobId* curr, JobId* cand, std::int32_t n,
-                        std::uint64_t seed, std::uint64_t g, std::uint32_t pert,
+                        const raw::ThreadStreams& streams, std::uint64_t g,
+                        std::uint32_t pert,
                         meta::NeighborhoodMode neighborhood,
                         std::uint32_t shuffle_period, const char* kernel_name);
+
+/// Launches the Metropolis acceptance kernel of Section VI-C, shared by
+/// the asynchronous and the synchronous SA: thread t takes candidate row
+/// t of \p cand (cost \p cand_cost[t]) into \p curr / \p curr_cost when
+/// it does not worsen the current cost or when exp((e - e_new) / temp) is
+/// at least a uniform draw from its (seed, g, kAccept, t) stream in
+/// \p streams.  An improving or equal move is taken without the draw:
+/// exp(x) >= 1 for x >= 0 and the draw is at most 1, and the stream is
+/// used for nothing else.  With \p best (and \p best_cost) set, an
+/// accepted row that beats the thread's best also replaces it there.
+void LaunchAcceptance(sim::Device& device, const LaunchConfig& config,
+                      JobId* curr, Cost* curr_cost, const JobId* cand,
+                      const Cost* cand_cost, JobId* best, Cost* best_cost,
+                      std::int32_t n, double temp,
+                      const raw::ThreadStreams& streams,
+                      const char* kernel_name);
 
 /// How the best-of-ensemble reduction is implemented.
 /// kAtomic is the paper's choice: "an atomic minimization function ...

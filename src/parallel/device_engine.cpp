@@ -56,9 +56,9 @@ DeviceEngine::DeviceEngine(sim::Device& device, const Instance& instance,
 void DeviceEngine::Upload(const Instance& instance) {
   problem_ = std::make_unique<DeviceProblem>(device_, instance);
   packed_best_ = std::make_unique<sim::DeviceBuffer<std::int64_t>>(device_, 1);
-  if (problem_->cost_upper_bound() >= raw::kMaxPackableCost) {
-    throw Error(spec_.name,
-                "instance costs exceed the packed reduction key range");
+  if (const std::string diagnostic = PackedKeyDiagnostic(instance);
+      !diagnostic.empty()) {
+    throw Error(spec_.name, diagnostic.c_str());
   }
   packed_best_->Fill(raw::PackCostThread(problem_->cost_upper_bound(), 0));
 }
@@ -92,6 +92,15 @@ void DeviceEngine::Launch(const char* kernel_name,
   sim::LaunchOptions opts;
   opts.name = kernel_name;
   device_.Launch(config_.grid(), config_.block(), opts, kernel);
+}
+
+raw::ThreadStreams DeviceEngine::Streams(std::uint64_t seed,
+                                         std::uint64_t g,
+                                         raw::RngPhase phase) {
+  heads_.resize(4 * std::size_t{ensemble()});
+  const std::uint32_t stream_hi = raw::StreamHi(g, phase);
+  rng::StreamHeads(seed, stream_hi, 0, heads_);
+  return {seed, stream_hi, heads_.data()};
 }
 
 meta::StepStatus DeviceEngine::Step(std::uint64_t units) {

@@ -38,6 +38,7 @@
 #include "meta/engine.hpp"
 #include "parallel/detail.hpp"
 #include "parallel/device_problem.hpp"
+#include "parallel/kernels_raw.hpp"
 #include "parallel/launch_config.hpp"
 #include "parallel/result.hpp"
 
@@ -114,6 +115,13 @@ class DeviceEngine : public meta::Engine {
                PenaltyMemory memory = PenaltyMemory::kShared);
   /// Launches \p kernel over the engine's grid.
   void Launch(const char* kernel_name, const sim::KernelFn& kernel);
+  /// Draws block 0 of every thread's (seed, g, phase) stream into the
+  /// engine's host-side head buffer in one rng::StreamHeads pass and
+  /// returns the launch's view of it.  Valid until the next call: fill it
+  /// right before the launch that reads it (launches run synchronously).
+  /// Host bookkeeping — no device buffer, transfer or modeled time.
+  raw::ThreadStreams Streams(std::uint64_t seed, std::uint64_t g,
+                             raw::RngPhase phase);
 
   /// The kernels of Step unit \p unit (0-based).
   virtual void RunUnit(std::uint64_t unit) = 0;
@@ -141,6 +149,7 @@ class DeviceEngine : public meta::Engine {
   meta::StepStatus status_ = meta::StepStatus::kRunning;
   double elapsed_ = 0.0;
   std::optional<GpuRunResult> finish_cache_;
+  std::vector<std::uint32_t> heads_;  ///< four words per thread; Streams
 };
 
 }  // namespace cdd::par::detail

@@ -1,9 +1,42 @@
 #include "parallel/device_problem.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <vector>
 
+#include "parallel/kernels_raw.hpp"
+
 namespace cdd::par {
+
+Cost CostUpperBound(const Instance& instance) {
+  constexpr Cost kSaturated = std::numeric_limits<Cost>::max();
+  const std::optional<Time> total = CheckedProcessingSum(instance.jobs());
+  Time horizon = 0;
+  if (!total || __builtin_add_overflow(std::max(instance.due_date(), *total),
+                                       *total, &horizon)) {
+    return kSaturated;
+  }
+  Cost bound = 0;
+  for (const Job& j : instance.jobs()) {
+    Cost late = 0;
+    Cost compress = 0;
+    if (__builtin_mul_overflow(std::max(j.early, j.tardy), horizon, &late) ||
+        __builtin_mul_overflow(j.compress, j.proc - j.min_proc, &compress) ||
+        __builtin_add_overflow(bound, late, &bound) ||
+        __builtin_add_overflow(bound, compress, &bound)) {
+      return kSaturated;
+    }
+  }
+  return bound;
+}
+
+std::string PackedKeyDiagnostic(const Instance& instance) {
+  const Cost bound = CostUpperBound(instance);
+  if (bound < raw::kMaxPackableCost) return {};
+  return "instance costs exceed the packed reduction key range (cost bound " +
+         std::to_string(bound) + " >= 2^42)";
+}
 
 DeviceProblem::DeviceProblem(sim::Device& device, const Instance& instance)
     : n_(static_cast<std::int32_t>(instance.size())),
@@ -49,16 +82,7 @@ DeviceProblem::DeviceProblem(sim::Device& device, const Instance& instance)
   }
   d_.Set(instance.due_date());
   n_const_.Set(n_);
-
-  // Worst case: every job maximally early (horizon = d) or maximally tardy
-  // (horizon = sum P), plus full compression penalties.
-  const Time horizon =
-      std::max(instance.due_date(), instance.total_processing_time()) +
-      instance.total_processing_time();
-  for (const Job& j : instance.jobs()) {
-    cost_bound_ += std::max(j.early, j.tardy) * horizon +
-                   j.compress * (j.proc - j.min_proc);
-  }
+  cost_bound_ = CostUpperBound(instance);
 }
 
 }  // namespace cdd::par

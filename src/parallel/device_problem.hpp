@@ -9,11 +9,24 @@
 /// constant memory "to benefit from its broadcast mechanism" (Section VI).
 
 #include <cstdint>
+#include <string>
 
 #include "core/instance.hpp"
 #include "cudasim/memory.hpp"
 
 namespace cdd::par {
+
+/// Upper bound on any sequence cost of \p instance: every job maximally
+/// early (horizon d) or maximally tardy (horizon sum P), plus its full
+/// compression penalty.  Saturates at the largest Cost instead of
+/// overflowing.
+Cost CostUpperBound(const Instance& instance);
+
+/// Empty when the device engines can solve \p instance, otherwise why
+/// not: their reduction packs (cost, thread) into one 64-bit key, so
+/// CostUpperBound must stay below raw::kMaxPackableCost.  The engines'
+/// construction and the serve layer's admission check share it.
+std::string PackedKeyDiagnostic(const Instance& instance);
 
 /// Instance data living on a simulated device.
 class DeviceProblem {

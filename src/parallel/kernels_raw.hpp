@@ -6,7 +6,9 @@
 /// one perturbation and swap (core/sequence.hpp) and crossover
 /// (meta/ops.hpp) implementation the serial engines use.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "core/types.hpp"
 #include "rng/philox.hpp"
@@ -28,15 +30,36 @@ enum class RngPhase : std::uint64_t {
   kDpsoUpdate = 3,
 };
 
+/// The high 32 bits of every (generation, phase) stream id.
+inline std::uint32_t StreamHi(std::uint64_t generation, RngPhase phase) {
+  return static_cast<std::uint32_t>(generation * kRngPhases +
+                                    static_cast<std::uint64_t>(phase));
+}
+
 /// Philox stream for (seed, generation, phase, thread).
 inline rng::Philox4x32 MakeStream(std::uint64_t seed,
                                   std::uint64_t generation, RngPhase phase,
                                   std::uint32_t thread) {
-  const std::uint64_t stream =
-      ((generation * kRngPhases + static_cast<std::uint64_t>(phase)) << 32) |
-      thread;
-  return rng::Philox4x32(seed, stream);
+  return rng::Philox4x32(
+      seed, (std::uint64_t{StreamHi(generation, phase)} << 32) | thread);
 }
+
+/// Every thread's stream of one (seed, generation, phase), opened from
+/// block 0 heads drawn for the whole launch in one rng::StreamHeads pass
+/// before it (see DeviceEngine::Streams).  Open(t) yields exactly
+/// MakeStream(seed, generation, phase, t).  The heads are host memory the
+/// launch only reads.
+struct ThreadStreams {
+  std::uint64_t seed = 0;
+  std::uint32_t stream_hi = 0;
+  const std::uint32_t* heads = nullptr;  ///< four words per thread
+
+  rng::Philox4x32 Open(std::uint32_t thread) const {
+    return rng::Philox4x32(seed, (std::uint64_t{stream_hi} << 32) | thread,
+                           std::span<const std::uint32_t, 4>(
+                               heads + 4 * std::size_t{thread}, 4));
+  }
+};
 
 // --- packed (cost, thread) reduction keys --------------------------------
 // The reduction kernel performs one atomicMin per thread on a 64-bit key

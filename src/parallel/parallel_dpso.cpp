@@ -61,7 +61,6 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
     const std::uint64_t g = unit + 1;
     const std::uint32_t ensemble = this->ensemble();
     const std::int32_t n = this->n();
-    const std::uint64_t seed = params_.seed;
     const double w = params_.w;
     const double c1 = params_.c1;
     const double c2 = params_.c2;
@@ -74,6 +73,8 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
     Cost* d_pbest_cost = pbest_cost_.data();
 
     // --- position update: Eq. (3) ----------------------------------------
+    const raw::ThreadStreams streams =
+        Streams(params_.seed, g, raw::RngPhase::kDpsoUpdate);
     Launch("dpso_update", [=](sim::ThreadCtx& t) {
       const std::uint64_t tid = t.global_thread();
       if (tid >= ensemble) return;
@@ -81,9 +82,7 @@ class ParallelDpsoEngine final : public detail::DeviceEngine {
       const std::span<JobId> mine(d_pos + tid * n, cells);
       const std::span<JobId> child(d_child + tid * n, cells);
       const std::span<std::uint8_t> marks(d_used + tid * n, cells);
-      rng::Philox4x32 rng =
-          raw::MakeStream(seed, g, raw::RngPhase::kDpsoUpdate,
-                          static_cast<std::uint32_t>(tid));
+      rng::Philox4x32 rng = streams.Open(static_cast<std::uint32_t>(tid));
       // w (+) F1: swap velocity.
       if (rng.NextUniform() < w) {
         RandomSwap(mine, rng);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
 
 #include "cudasim/memory.hpp"
@@ -71,7 +70,6 @@ class ParallelSaEngine final : public detail::DeviceEngine {
  private:
   void RunUnit(std::uint64_t unit) override {
     const std::uint64_t g = unit + 1;
-    const std::uint32_t ensemble = this->ensemble();
     const std::int32_t n = this->n();
     const std::uint64_t seed = params_.seed;
     JobId* d_curr = curr_.data();
@@ -82,7 +80,8 @@ class ParallelSaEngine final : public detail::DeviceEngine {
     Cost* d_best_cost = best_cost_.data();
 
     // --- kernel 1: perturbation (Section VI-B) ---------------------------
-    detail::LaunchPerturbation(device_, config_, d_curr, d_cand, n, seed, g,
+    detail::LaunchPerturbation(device_, config_, d_curr, d_cand, n,
+                               Streams(seed, g, raw::RngPhase::kPerturb), g,
                                params_.pert, params_.neighborhood,
                                params_.shuffle_period, "sa_perturbation");
 
@@ -90,30 +89,11 @@ class ParallelSaEngine final : public detail::DeviceEngine {
     Fitness(d_cand, d_cand_cost, "sa_fitness", params_.penalty_memory);
 
     // --- kernel 3: acceptance (Section VI-C) -----------------------------
-    const double temp = std::max(temperature_, 1e-300);
-    Launch("sa_acceptance", [=](sim::ThreadCtx& t) {
-      const std::uint64_t tid = t.global_thread();
-      if (tid >= ensemble) return;
-      rng::Philox4x32 rng = raw::MakeStream(seed, g, raw::RngPhase::kAccept,
-                                            static_cast<std::uint32_t>(tid));
-      const Cost e = d_curr_cost[tid];
-      const Cost e_new = d_cand_cost[tid];
-      const double accept = std::exp(static_cast<double>(e - e_new) / temp);
-      if (accept >= static_cast<double>(rng.NextUniform())) {
-        JobId* cur = d_curr + tid * n;
-        const JobId* cnd = d_cand + tid * n;
-        for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
-        d_curr_cost[tid] = e_new;
-        if (e_new < d_best_cost[tid]) {
-          d_best_cost[tid] = e_new;
-          JobId* bst = d_best + tid * n;
-          for (std::int32_t i = 0; i < n; ++i) bst[i] = cnd[i];
-          t.charge(static_cast<std::uint64_t>(n));
-        }
-        t.charge(static_cast<std::uint64_t>(n));
-      }
-      t.charge(4);
-    });
+    detail::LaunchAcceptance(device_, config_, d_curr, d_curr_cost, d_cand,
+                             d_cand_cost, d_best, d_best_cost, n,
+                             std::max(temperature_, 1e-300),
+                             Streams(seed, g, raw::RngPhase::kAccept),
+                             "sa_acceptance");
 
     // --- kernel 4: reduction (Section VI-D) ------------------------------
     detail::LaunchReduction(device_, config_, d_best_cost,

@@ -80,27 +80,16 @@ class ParallelSaSyncEngine final : public detail::DeviceEngine {
     for (std::uint32_t m = 0; m < params_.chain_length; ++m) {
       const std::uint64_t g =
           static_cast<std::uint64_t>(level) * params_.chain_length + m + 1;
-      detail::LaunchPerturbation(device_, config_, d_curr, d_cand, n, seed, g,
+      detail::LaunchPerturbation(device_, config_, d_curr, d_cand, n,
+                                 Streams(seed, g, raw::RngPhase::kPerturb), g,
                                  params_.pert, params_.neighborhood,
                                  params_.shuffle_period, "sync_perturbation");
       Fitness(d_cand, d_cand_cost, "sync_fitness");
-      Launch("sync_acceptance", [=](sim::ThreadCtx& t) {
-        const std::uint64_t tid = t.global_thread();
-        if (tid >= ensemble) return;
-        rng::Philox4x32 rng = raw::MakeStream(
-            seed, g, raw::RngPhase::kAccept, static_cast<std::uint32_t>(tid));
-        const Cost e = d_curr_cost[tid];
-        const Cost e_new = d_cand_cost[tid];
-        const double accept = std::exp(static_cast<double>(e - e_new) / temp);
-        if (accept >= static_cast<double>(rng.NextUniform())) {
-          JobId* cur = d_curr + tid * n;
-          const JobId* cnd = d_cand + tid * n;
-          for (std::int32_t i = 0; i < n; ++i) cur[i] = cnd[i];
-          d_curr_cost[tid] = e_new;
-          t.charge(static_cast<std::uint64_t>(n));
-        }
-        t.charge(4);
-      });
+      detail::LaunchAcceptance(device_, config_, d_curr, d_curr_cost, d_cand,
+                               d_cand_cost, /*best=*/nullptr,
+                               /*best_cost=*/nullptr, n, temp,
+                               Streams(seed, g, raw::RngPhase::kAccept),
+                               "sync_acceptance");
       device_.Synchronize();
     }
 

@@ -41,15 +41,19 @@ inline void PhiloxRound(std::uint32_t& x0, std::uint32_t& x1,
 /// chains to hide the multiplier latency.
 constexpr std::size_t kPortableLanes = 8;
 
-/// One portable pass: kPortableLanes consecutive counters, round by round.
+/// One portable pass: kPortableLanes counters that count up in word
+/// kWord (0 for consecutive blocks of one stream, 2 for block 0 of
+/// consecutive streams), round by round.
+template <int kWord>
 void PortablePass(std::array<std::uint32_t, 4> ctr,
                   std::array<std::uint32_t, 2> key, std::uint32_t* out) {
   std::uint32_t x0[kPortableLanes], x1[kPortableLanes], x2[kPortableLanes],
       x3[kPortableLanes];
   for (std::size_t l = 0; l < kPortableLanes; ++l) {
-    x0[l] = ctr[0] + static_cast<std::uint32_t>(l);
+    const auto lane = static_cast<std::uint32_t>(l);
+    x0[l] = ctr[0] + (kWord == 0 ? lane : 0u);
     x1[l] = ctr[1];
-    x2[l] = ctr[2];
+    x2[l] = ctr[2] + (kWord == 2 ? lane : 0u);
     x3[l] = ctr[3];
   }
   for (int round = 0; round < 10; ++round) {
@@ -125,19 +129,27 @@ __attribute__((target("avx2"))) inline void StoreLanes8(const Lanes8& s,
                       _mm256_permute2x128_si256(b26, b37, 0x31));
 }
 
-/// One AVX2 pass: kAvx2Blocks consecutive counters to out[0 .. 63].
+/// One AVX2 pass: kAvx2Blocks counters that count up in word kWord (as
+/// in PortablePass) to out[0 .. 63].
+template <int kWord>
 __attribute__((target("avx2"))) void Avx2Pass(
     std::array<std::uint32_t, 4> ctr, std::array<std::uint32_t, 2> key,
     std::uint32_t* out) {
-  const __m256i base = _mm256_set1_epi32(static_cast<int>(ctr[0]));
+  const __m256i c0 = _mm256_set1_epi32(static_cast<int>(ctr[0]));
   const __m256i c1 = _mm256_set1_epi32(static_cast<int>(ctr[1]));
   const __m256i c2 = _mm256_set1_epi32(static_cast<int>(ctr[2]));
   const __m256i c3 = _mm256_set1_epi32(static_cast<int>(ctr[3]));
-  Lanes8 a{_mm256_add_epi32(base, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
-           c1, c2, c3};
-  Lanes8 b{_mm256_add_epi32(base,
-                            _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15)),
-           c1, c2, c3};
+  const __m256i lanes_a = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i lanes_b = _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15);
+  Lanes8 a{c0, c1, c2, c3};
+  Lanes8 b{c0, c1, c2, c3};
+  if constexpr (kWord == 0) {
+    a.x0 = _mm256_add_epi32(c0, lanes_a);
+    b.x0 = _mm256_add_epi32(c0, lanes_b);
+  } else {
+    a.x2 = _mm256_add_epi32(c2, lanes_a);
+    b.x2 = _mm256_add_epi32(c2, lanes_b);
+  }
   for (int round = 0; round < 10; ++round) {
     const __m256i k0 = _mm256_set1_epi32(static_cast<int>(key[0]));
     const __m256i k1 = _mm256_set1_epi32(static_cast<int>(key[1]));
@@ -175,6 +187,40 @@ __attribute__((target("avx2"))) std::size_t MapBelowPass(
 
 #endif  // CDD_PHILOX_X86
 
+/// Philox4x32Block of \p counter with word kWord advanced by b, to
+/// out[4b .. 4b+3] for every b < out.size() / 4: kPortableLanes blocks
+/// per pass, the rest one at a time.
+template <int kWord>
+void BlocksPortable(std::array<std::uint32_t, 4> counter,
+                    std::array<std::uint32_t, 2> key,
+                    std::span<std::uint32_t> out) {
+  std::size_t i = 0;
+  for (; out.size() - i >= 4 * kPortableLanes; i += 4 * kPortableLanes) {
+    PortablePass<kWord>(counter, key, out.data() + i);
+    counter[kWord] += static_cast<std::uint32_t>(kPortableLanes);
+  }
+  for (; i < out.size(); i += 4) {
+    const auto block = Philox4x32Block(counter, key);
+    std::copy(block.begin(), block.end(), out.begin() + i);
+    ++counter[kWord];
+  }
+}
+
+/// BlocksPortable's output, kAvx2Blocks per AVX2 pass.
+template <int kWord>
+void BlocksAvx2(std::array<std::uint32_t, 4> counter,
+                std::array<std::uint32_t, 2> key,
+                std::span<std::uint32_t> out) {
+  std::size_t i = 0;
+#if defined(CDD_PHILOX_X86)
+  for (; out.size() - i >= 4 * kAvx2Blocks; i += 4 * kAvx2Blocks) {
+    Avx2Pass<kWord>(counter, key, out.data() + i);
+    counter[kWord] += static_cast<std::uint32_t>(kAvx2Blocks);
+  }
+#endif
+  BlocksPortable<kWord>(counter, key, out.subspan(i));
+}
+
 }  // namespace
 
 std::array<std::uint32_t, 4> Philox4x32Block(
@@ -192,29 +238,25 @@ namespace detail {
 void PhiloxBlocksPortable(std::array<std::uint32_t, 4> counter,
                           std::array<std::uint32_t, 2> key,
                           std::span<std::uint32_t> out) {
-  std::size_t i = 0;
-  for (; out.size() - i >= 4 * kPortableLanes; i += 4 * kPortableLanes) {
-    PortablePass(counter, key, out.data() + i);
-    counter[0] += static_cast<std::uint32_t>(kPortableLanes);
-  }
-  for (; i < out.size(); i += 4) {
-    const auto block = Philox4x32Block(counter, key);
-    std::copy(block.begin(), block.end(), out.begin() + i);
-    ++counter[0];
-  }
+  BlocksPortable<0>(counter, key, out);
 }
 
 void PhiloxBlocksAvx2(std::array<std::uint32_t, 4> counter,
                       std::array<std::uint32_t, 2> key,
                       std::span<std::uint32_t> out) {
-  std::size_t i = 0;
-#if defined(CDD_PHILOX_X86)
-  for (; out.size() - i >= 4 * kAvx2Blocks; i += 4 * kAvx2Blocks) {
-    Avx2Pass(counter, key, out.data() + i);
-    counter[0] += static_cast<std::uint32_t>(kAvx2Blocks);
-  }
-#endif
-  PhiloxBlocksPortable(counter, key, out.subspan(i));
+  BlocksAvx2<0>(counter, key, out);
+}
+
+void StreamHeadsPortable(std::array<std::uint32_t, 2> key,
+                         std::uint32_t stream_hi, std::uint32_t first,
+                         std::span<std::uint32_t> heads) {
+  BlocksPortable<2>({0, 0, first, stream_hi}, key, heads);
+}
+
+void StreamHeadsAvx2(std::array<std::uint32_t, 2> key,
+                     std::uint32_t stream_hi, std::uint32_t first,
+                     std::span<std::uint32_t> heads) {
+  BlocksAvx2<2>({0, 0, first, stream_hi}, key, heads);
 }
 
 void MapBelowPortable(std::uint32_t top, std::span<std::uint32_t> words) {
@@ -233,6 +275,17 @@ void MapBelowAvx2(std::uint32_t top, std::span<std::uint32_t> words) {
 }
 
 }  // namespace detail
+
+void StreamHeads(std::uint64_t seed, std::uint32_t stream_hi,
+                 std::uint32_t first, std::span<std::uint32_t> heads) {
+  const std::array<std::uint32_t, 2> key{
+      static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32)};
+  if (core::HostCpuFeatures().avx2) {
+    detail::StreamHeadsAvx2(key, stream_hi, first, heads);
+  } else {
+    detail::StreamHeadsPortable(key, stream_hi, first, heads);
+  }
+}
 
 void BulkPhilox::Take(std::span<std::uint32_t> out) {
   std::size_t i = 0;

@@ -16,7 +16,10 @@
 /// Host loops that draw many outputs at once go through
 /// Philox4x32::Fill or the buffered BulkPhilox adaptor, which encrypt
 /// whole blocks several at a time and yield exactly the same stream.
+/// Launches that open one short stream per simulated thread draw every
+/// thread's first block at once through StreamHeads.
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -124,7 +127,30 @@ void PhiloxBlocksAvx2(std::array<std::uint32_t, 4> counter,
 void MapBelowPortable(std::uint32_t top, std::span<std::uint32_t> words);
 void MapBelowAvx2(std::uint32_t top, std::span<std::uint32_t> words);
 
+/// The stream-head kernels behind StreamHeads, exposed for the same
+/// reason.  Each writes Philox4x32Block({0, 0, first + i, stream_hi}, key)
+/// to heads[4i .. 4i+3] for every i < heads.size() / 4; heads.size() must
+/// be a multiple of 4 and first + heads.size() / 4 must not exceed 2^32.
+/// They run the passes of PhiloxBlocksPortable and PhiloxBlocksAvx2 with
+/// counter word 2 counting up instead of word 0, under the same call
+/// rule.
+void StreamHeadsPortable(std::array<std::uint32_t, 2> key,
+                         std::uint32_t stream_hi, std::uint32_t first,
+                         std::span<std::uint32_t> heads);
+void StreamHeadsAvx2(std::array<std::uint32_t, 2> key,
+                     std::uint32_t stream_hi, std::uint32_t first,
+                     std::span<std::uint32_t> heads);
+
 }  // namespace detail
+
+/// Block 0 of the streams (stream_hi << 32) | (first + i) of \p seed, for
+/// i < heads.size() / 4, to heads[4i .. 4i+3]: the block
+/// Philox4x32(seed, stream) encrypts for its first four outputs, drawn for
+/// many consecutive streams in one bulk pass (AVX2 when the host has it).
+/// Philox4x32(seed, stream, heads.subspan(4 * i).first<4>()) then opens
+/// stream i without running the cipher.
+void StreamHeads(std::uint64_t seed, std::uint32_t stream_hi,
+                 std::uint32_t first, std::span<std::uint32_t> heads);
 
 /// \brief Philox4x32-10 stream generator.
 ///
@@ -141,6 +167,18 @@ class Philox4x32 {
              static_cast<std::uint32_t>(seed >> 32)},
         counter_{0, 0, static_cast<std::uint32_t>(stream),
                  static_cast<std::uint32_t>(stream >> 32)} {}
+
+  /// Philox4x32(seed, stream) with its block 0 already encrypted as
+  /// \p head (StreamHeads' output for this stream): the same outputs and,
+  /// after the first draw, the same state.  A stream that draws more than
+  /// four outputs encrypts block 1 on as usual.
+  Philox4x32(std::uint64_t seed, std::uint64_t stream,
+             std::span<const std::uint32_t, 4> head)
+      : Philox4x32(seed, stream) {
+    std::copy(head.begin(), head.end(), block_.begin());
+    counter_[0] = 1;
+    index_ = 0;
+  }
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() {

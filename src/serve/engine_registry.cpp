@@ -12,6 +12,7 @@
 #include "meta/objective.hpp"
 #include "meta/sa.hpp"
 #include "meta/threshold.hpp"
+#include "parallel/device_problem.hpp"
 #include "parallel/parallel_dpso.hpp"
 #include "parallel/parallel_sa.hpp"
 #include "parallel/parallel_sa_sync.hpp"
@@ -94,18 +95,20 @@ std::vector<std::string> SplitNames(std::string_view csv) {
   return names;
 }
 
+/// The pinned contender list of a race as written: options.portfolio,
+/// else CDD_RACE_PORTFOLIO, else empty (the bandit prior chooses).
+std::string PinnedPortfolio(const EngineOptions& options) {
+  if (!options.portfolio.empty()) return options.portfolio;
+  const char* env = std::getenv("CDD_RACE_PORTFOLIO");
+  return env != nullptr ? env : "";
+}
+
 /// The contender list of one race: the pinned list when options/env give
 /// one, otherwise the bandit prior's top three over the serial engines
 /// (cheap enough that racing three never dwarfs one full solo run).
 std::vector<std::string> ResolvePortfolio(const Instance& instance,
                                           const EngineOptions& options) {
-  std::string csv = options.portfolio;
-  if (csv.empty()) {
-    if (const char* env = std::getenv("CDD_RACE_PORTFOLIO");
-        env != nullptr) {
-      csv = env;
-    }
-  }
+  const std::string csv = PinnedPortfolio(options);
   if (!csv.empty()) {
     std::vector<std::string> names = SplitNames(csv);
     if (names.empty()) {
@@ -150,7 +153,7 @@ std::unique_ptr<meta::Engine> MakeRace(const Instance& instance,
 std::unique_ptr<meta::Engine> MakeEngineByName(std::string_view name,
                                                const Instance& instance,
                                                const EngineOptions& options) {
-  RequireEngineSupports(name, instance);
+  RequireEngineSupports(name, instance, options);
   if (name == "sa") {
     meta::SaParams params;
     params.iterations = options.generations;
@@ -278,29 +281,53 @@ bool IsDeviceEngine(std::string_view name) {
   return name == "psa" || name == "pdpso" || name == "psa-sync";
 }
 
-bool EngineSupportsInstance(std::string_view name,
-                            const Instance& instance) {
-  if (instance.machines() <= 1 &&
-      instance.objective() == ScheduleObjective::kTotalPenalty) {
-    return true;
-  }
-  return name == "sa" || name == "ta";
+bool EngineSupportsInstance(std::string_view name, const Instance& instance,
+                            const EngineOptions& options) {
+  return EngineSupportDiagnostic(name, instance, options).empty();
 }
 
 std::string EngineSupportDiagnostic(std::string_view name,
-                                    const Instance& instance) {
-  if (EngineSupportsInstance(name, instance)) return {};
-  const std::string variant =
-      instance.objective() == ScheduleObjective::kEarlyWork
-          ? std::string("the early-work objective")
-          : "parallel machines (m=" + std::to_string(instance.machines()) +
-                ")";
-  return "engine '" + std::string(name) + "' does not support " + variant +
-         "; supported engines: sa, ta";
+                                    const Instance& instance,
+                                    const EngineOptions& options) {
+  if ((instance.machines() > 1 ||
+       instance.objective() != ScheduleObjective::kTotalPenalty) &&
+      name != "sa" && name != "ta") {
+    const std::string variant =
+        instance.objective() == ScheduleObjective::kEarlyWork
+            ? std::string("the early-work objective")
+            : "parallel machines (m=" + std::to_string(instance.machines()) +
+                  ")";
+    return "engine '" + std::string(name) + "' does not support " + variant +
+           "; supported engines: sa, ta";
+  }
+  if (IsDeviceEngine(name)) {
+    if (const std::string why = par::PackedKeyDiagnostic(instance);
+        !why.empty()) {
+      return "engine '" + std::string(name) +
+             "' does not support this instance: " + why +
+             "; supported engines: sa, ta, dpso, es, host, bnb";
+    }
+  }
+  if (name == "race") {
+    // Only a pinned list can name a device engine; the bandit prior ranks
+    // serial engines.
+    for (const std::string& contender :
+         SplitNames(PinnedPortfolio(options))) {
+      if (contender == "race") continue;  // MakeRace rejects it
+      if (std::string diagnostic =
+              EngineSupportDiagnostic(contender, instance, options);
+          !diagnostic.empty()) {
+        return "race contender " + diagnostic;
+      }
+    }
+  }
+  return {};
 }
 
-void RequireEngineSupports(std::string_view name, const Instance& instance) {
-  if (std::string diagnostic = EngineSupportDiagnostic(name, instance);
+void RequireEngineSupports(std::string_view name, const Instance& instance,
+                           const EngineOptions& options) {
+  if (std::string diagnostic =
+          EngineSupportDiagnostic(name, instance, options);
       !diagnostic.empty()) {
     throw std::invalid_argument(diagnostic);
   }

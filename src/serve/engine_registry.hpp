@@ -98,24 +98,31 @@ void MaterializeRacePortfolio(EngineOptions& options);
 /// would sit on the wrong side of the bus.
 bool IsDeviceEngine(std::string_view name);
 
-/// True when the named engine can solve \p instance's problem variant.
-/// Single-machine total-penalty instances are supported by every engine.
+/// True when the named engine can solve \p instance.  Single-machine
+/// total-penalty instances are supported by every engine, except that the
+/// device engines ("psa", "pdpso", "psa-sync") need every cost to fit
+/// their packed (cost, thread) reduction key (par::PackedKeyDiagnostic).
 /// Parallel-machine (Instance::machines() > 1) and early-work instances
 /// are searched over (permutation, splits) candidates; only the
 /// single-chain "sa" and "ta" engines carry that move set (see
-/// docs/WORKLOADS.md for the support matrix).
-bool EngineSupportsInstance(std::string_view name, const Instance& instance);
+/// docs/WORKLOADS.md for the support matrix).  A "race" is supported when
+/// every contender of its pinned portfolio (\p options.portfolio or
+/// CDD_RACE_PORTFOLIO) is.
+bool EngineSupportsInstance(std::string_view name, const Instance& instance,
+                            const EngineOptions& options = {});
 
 /// Human-readable reason EngineSupportsInstance is false, empty when the
-/// engine supports the variant.  The service's admission path returns it
+/// engine supports the instance.  The service's admission path returns it
 /// as the rejection diagnostic.
 std::string EngineSupportDiagnostic(std::string_view name,
-                                    const Instance& instance);
+                                    const Instance& instance,
+                                    const EngineOptions& options = {});
 
 /// Throws std::invalid_argument with EngineSupportDiagnostic's message
 /// when EngineSupportsInstance is false, so the CLI, the service and race
-/// contender construction reject unsupported variants identically.
-void RequireEngineSupports(std::string_view name, const Instance& instance);
+/// contender construction reject unsupported instances identically.
+void RequireEngineSupports(std::string_view name, const Instance& instance,
+                           const EngineOptions& options = {});
 
 /// Rows a request-scoped pool needs so the named engine can stage a full
 /// generation in it; 0 means the engine cannot borrow a shared pool

@@ -177,11 +177,12 @@ std::future<SolveResponse> SolverService::Submit(SolveRequest request,
     return answer(std::move(response));
   }
 
-  // Variant support is an admission decision too: an engine without the
-  // multi-machine / early-work move set must reject here, not throw deep
-  // inside a worker.
-  if (std::string diagnostic =
-          EngineSupportDiagnostic(request.engine, request.instance);
+  // Support is an admission decision too: an engine without the
+  // multi-machine / early-work move set, or a device engine (or a race
+  // pinning one) whose packed reduction key cannot hold the instance's
+  // costs, must reject here, not throw deep inside a worker.
+  if (std::string diagnostic = EngineSupportDiagnostic(
+          request.engine, request.instance, request.options);
       !diagnostic.empty()) {
     rejected_invalid_instance_->Increment();
     CDD_TRACE_INSTANT("serve.rejected_invalid_instance");

@@ -30,6 +30,43 @@ TEST(Device, ThreadIndexingCoversGridExactlyOnce) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
+TEST(Device, ThreadContextsFollowTheLinearDecomposition) {
+  // A 3-D block on a 2-D grid: every context's indices must be the x-fastest
+  // decomposition of its grid-global id.
+  Device gpu;
+  const Dim3 grid{3, 2};
+  const Dim3 block{4, 3, 2};
+  const std::size_t tpb = block.count();
+  struct Seen {
+    Dim3 thread_idx, block_idx;
+    std::uint32_t linear_thread = 0;
+    std::uint64_t global_thread = 0;
+    int hits = 0;
+  };
+  std::vector<Seen> seen(grid.count() * tpb);
+  Seen* data = seen.data();
+  gpu.Launch(grid, block, [data, tpb](ThreadCtx& t) {
+    Seen& s = data[t.linear_block() * tpb + t.linear_thread()];
+    s.thread_idx = t.thread_idx;
+    s.block_idx = t.block_idx;
+    s.linear_thread = t.linear_thread();
+    s.global_thread = t.global_thread();
+    ++s.hits;
+  });
+  for (std::size_t gid = 0; gid < seen.size(); ++gid) {
+    const std::size_t b = gid / tpb;
+    const std::size_t lt = gid % tpb;
+    const Seen& s = seen[gid];
+    ASSERT_EQ(s.hits, 1) << gid;
+    EXPECT_EQ(s.thread_idx, Dim3(lt % block.x, lt / block.x % block.y,
+                                 lt / (block.x * block.y)))
+        << gid;
+    EXPECT_EQ(s.block_idx, Dim3(b % grid.x, b / grid.x, 0)) << gid;
+    EXPECT_EQ(s.linear_thread, lt) << gid;
+    EXPECT_EQ(s.global_thread, gid) << gid;
+  }
+}
+
 TEST(Device, LaunchValidationRejectsBadGeometry) {
   Device gpu(GeForceGT560M());
   EXPECT_THROW(gpu.Launch({1}, {2048}, [](ThreadCtx&) {}), GpuError);

@@ -16,7 +16,8 @@
 ///    kCostMagnitudeLimit, the top of what Instance::Validate admits.  The
 ///    device engines reject such instances up front, because their
 ///    reduction packs (cost, thread) into one 64-bit key
-///    (par::raw::kMaxPackableCost); psa must say so with std::invalid_argument.
+///    (par::raw::kMaxPackableCost); the support check must say so and psa
+///    must throw std::invalid_argument.
 ///  * kWideDevice: the device engines' cost bound stays below
 ///    par::raw::kMaxPackableCost, so psa runs on wide fields too.
 
@@ -168,14 +169,15 @@ void CheckVariant(Variant variant, Fields fields, std::uint64_t seed) {
     SCOPED_TRACE(std::string(Name(variant)) + " " + instance.Summary());
     std::vector<Cost> heuristic_costs;
     for (const std::string engine : {"sa", "ta", "dpso", "psa"}) {
-      if (!serve::EngineSupportsInstance(engine, instance)) continue;
       SCOPED_TRACE(engine);
       const serve::EngineFn& solve = *registry.Find(engine);
       const serve::EngineOptions options = OptionsFor(engine, seed + n);
       if (engine == "psa" && fields == Fields::kWide) {
+        EXPECT_FALSE(serve::EngineSupportsInstance(engine, instance));
         EXPECT_THROW(solve(instance, options), std::invalid_argument);
         continue;
       }
+      if (!serve::EngineSupportsInstance(engine, instance)) continue;
       const serve::EngineRun run = solve(instance, options);
       EXPECT_GE(run.result.best_cost, 0);
       EXPECT_EQ(run.result.best_cost, ReferenceCost(instance, run.result));

@@ -8,6 +8,7 @@
 
 #include <set>
 #include <span>
+#include <vector>
 
 #include "core/sequence.hpp"
 #include "meta/ops.hpp"
@@ -124,6 +125,27 @@ TEST(RngStreams, ThreadStreamIndependentOfEnsembleSize) {
   rng::Philox4x32 a = MakeStream(9, 5, RngPhase::kPerturb, 3);
   rng::Philox4x32 b = MakeStream(9, 5, RngPhase::kPerturb, 3);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(a(), b());
+}
+
+TEST(RngStreams, ThreadStreamsOpenTheMakeStreamStreams) {
+  // The kernels open their streams from bulk-drawn heads; each must be
+  // MakeStream's stream, also where generation * kRngPhases + phase no
+  // longer fits the stream id's high word.
+  for (const std::uint64_t g : {std::uint64_t{1}, std::uint64_t{1} << 31}) {
+    for (const RngPhase phase : {RngPhase::kPerturb, RngPhase::kAccept,
+                                 RngPhase::kDpsoUpdate}) {
+      std::vector<std::uint32_t> heads(4 * 40);
+      rng::StreamHeads(77, StreamHi(g, phase), 0, heads);
+      const ThreadStreams streams{77, StreamHi(g, phase), heads.data()};
+      for (std::uint32_t t = 0; t < 40; ++t) {
+        rng::Philox4x32 opened = streams.Open(t);
+        rng::Philox4x32 made = MakeStream(77, g, phase, t);
+        for (int draw = 0; draw < 9; ++draw) {
+          ASSERT_EQ(opened(), made()) << "g " << g << " t " << t;
+        }
+      }
+    }
+  }
 }
 
 TEST(PackedKeys, RoundTripAndOrdering) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/test_instances.hpp"
 #include "core/exact.hpp"
 #include "meta/objective.hpp"
@@ -63,15 +65,21 @@ TEST(ParallelSa, DeterministicPerSeed) {
 }
 
 TEST(ParallelSa, WorkerCountDoesNotChangeResult) {
+  // Every launch's threads open their streams from one host-side head
+  // buffer; with four workers, eight blocks read it concurrently.  The run
+  // must equal the serial one in result, work units and modeled time.
   const Instance instance = cdd::testing::RandomCdd(20, 0.6, 305);
-  sim::Device seq_dev;
-  seq_dev.set_worker_threads(1);
-  sim::Device par_dev;
-  par_dev.set_worker_threads(4);
-  const GpuRunResult rs = RunParallelSa(seq_dev, instance, SmallParams());
-  const GpuRunResult rp = RunParallelSa(par_dev, instance, SmallParams());
-  EXPECT_EQ(rs.best_cost, rp.best_cost);
-  EXPECT_EQ(rs.best, rp.best);
+  const auto run = [&](unsigned workers) {
+    sim::Device gpu;
+    gpu.set_worker_threads(workers);
+    const GpuRunResult result =
+        RunParallelSa(gpu, instance, SmallParams(128, 16));
+    return std::make_tuple(result.best_cost, result.best,
+                           result.device_seconds,
+                           gpu.profiler().Find("sa_perturbation")->work_units,
+                           gpu.profiler().Find("sa_acceptance")->work_units);
+  };
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(ParallelSa, EnsembleInclusionProperty) {

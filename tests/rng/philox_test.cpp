@@ -1,7 +1,8 @@
 /// Philox4x32-10 and companion generator tests: known-answer vectors,
 /// stream independence, random access, uniformity, and the bulk Fill path
 /// (which must reproduce operator() output for output, state included),
-/// and the bulk shuffle (which must make FisherYates's swaps exactly).
+/// the bulk shuffle (which must make FisherYates's swaps exactly) and the
+/// stream heads (which must open exactly the stream they were drawn for).
 
 #include "rng/philox.hpp"
 
@@ -10,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/cpu_features.hpp"
@@ -226,6 +228,76 @@ TEST(PhiloxFill, Avx2KernelMatchesPortableKernel) {
         detail::PhiloxBlocksAvx2(counter, key, avx2);
         detail::PhiloxBlocksPortable(counter, key, portable);
         EXPECT_EQ(avx2, portable) << "blocks " << blocks;
+      }
+    }
+  }
+}
+
+/// Every stream-head kernel the host can run, by name.
+std::vector<std::pair<const char*, decltype(&detail::StreamHeadsPortable)>>
+HeadKernels() {
+  std::vector<std::pair<const char*, decltype(&detail::StreamHeadsPortable)>>
+      kernels{{"portable", &detail::StreamHeadsPortable}};
+  if (core::HostCpuFeatures().avx2) {
+    kernels.emplace_back("avx2", &detail::StreamHeadsAvx2);
+  }
+  return kernels;
+}
+
+TEST(StreamHeads, KernelsMatchTheBlockFunction) {
+  const std::array<std::uint32_t, 2> key{0x12345678u, 0x9abcdef0u};
+  for (const auto& [name, kernel] : HeadKernels()) {
+    for (const std::uint32_t first : {0u, 1u, 0x2ffu, 0xfffff000u}) {
+      for (std::uint32_t count = 1; count <= 17; ++count) {
+        std::vector<std::uint32_t> heads(4 * count);
+        kernel(key, 0x70deadu, first, heads);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          const auto expected =
+              Philox4x32Block({0, 0, first + i, 0x70deadu}, key);
+          for (std::size_t w = 0; w < 4; ++w) {
+            ASSERT_EQ(heads[4 * i + w], expected[w])
+                << name << " first " << first << " count " << count
+                << " i " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamHeads, Avx2KernelMatchesPortableKernelOverALaunch) {
+  if (!core::HostCpuFeatures().avx2) {
+    GTEST_SKIP() << "host CPU has no AVX2";
+  }
+  // The paper's 768-thread ensemble and a ragged tail past it.
+  for (const std::size_t count : {768u, 771u}) {
+    std::vector<std::uint32_t> avx2(4 * count), portable(4 * count);
+    detail::StreamHeadsAvx2({0x5eedu, 0x70deadbeu}, 9, 3, avx2);
+    detail::StreamHeadsPortable({0x5eedu, 0x70deadbeu}, 9, 3, portable);
+    EXPECT_EQ(avx2, portable) << "count " << count;
+  }
+}
+
+TEST(StreamHeads, HeadBuiltStreamIsThePhiloxStream) {
+  for (const std::uint64_t seed : {0ull, 42ull, ~0ull}) {
+    const std::uint32_t stream_hi = 4 * 7 + 2;
+    const std::uint32_t first = 40;
+    const std::uint32_t count = 20;
+    std::vector<std::uint32_t> heads(4 * count);
+    StreamHeads(seed, stream_hi, first, heads);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const std::uint64_t stream =
+          (std::uint64_t{stream_hi} << 32) | (first + i);
+      Philox4x32 opened(seed, stream,
+                        std::span<const std::uint32_t>(heads)
+                            .subspan(4 * i)
+                            .first<4>());
+      Philox4x32 twin(seed, stream);
+      ASSERT_EQ(opened(), twin()) << "seed " << seed << " stream " << i;
+      EXPECT_EQ(opened, twin) << "seed " << seed << " stream " << i;
+      for (int draw = 1; draw < 16; ++draw) {
+        ASSERT_EQ(opened(), twin())
+            << "seed " << seed << " stream " << i << " draw " << draw;
       }
     }
   }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/fn_engine.hpp"
 #include "common/test_instances.hpp"
@@ -81,6 +83,54 @@ TEST(EngineRegistry, EveryEngineSolvesASmallInstance) {
       EXPECT_DOUBLE_EQ(run.device_seconds, 0.0) << name;
     }
   }
+}
+
+TEST(EngineRegistry, DeviceEnginesRejectCostsBeyondThePackedKeyRange) {
+  // Validate-accepted (n * w * (d + sum P) = 2^62 - 1), but its cost bound
+  // is far past par::raw::kMaxPackableCost = 2^42.
+  const Instance wide(Problem::kCdd, /*d=*/(Time{1} << 31) - 13, {5, 3, 4},
+                      {715827883, 1, 2}, {7, 715827883, 1});
+  ASSERT_NO_THROW(wide.Validate());
+  const Instance small = cdd::testing::RandomCdd(12, 0.6, 5);
+  for (const char* engine : {"psa", "pdpso", "psa-sync"}) {
+    SCOPED_TRACE(engine);
+    EXPECT_FALSE(EngineSupportsInstance(engine, wide));
+    EXPECT_TRUE(EngineSupportsInstance(engine, small));
+    try {
+      RequireEngineSupports(engine, wide);
+      ADD_FAILURE() << "no rejection";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("engine '" + std::string(engine) + "'"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("packed reduction key range"), std::string::npos)
+          << what;
+    }
+    // The engine's own construction shares the check.
+    EngineOptions options;
+    options.generations = 1;
+    EXPECT_THROW((*EngineRegistry::Default().Find(engine))(wide, options),
+                 std::invalid_argument);
+  }
+  for (const char* engine : {"sa", "ta", "dpso", "es", "host", "bnb"}) {
+    EXPECT_NO_THROW(RequireEngineSupports(engine, wide)) << engine;
+  }
+
+  // A race is judged by its pinned contenders; unpinned, the bandit prior
+  // ranks serial engines only.
+  EngineOptions race;
+  EXPECT_NO_THROW(RequireEngineSupports("race", wide, race));
+  race.portfolio = "sa,ta";
+  EXPECT_NO_THROW(RequireEngineSupports("race", wide, race));
+  race.portfolio = "sa,pdpso";
+  EXPECT_FALSE(EngineSupportsInstance("race", wide, race));
+  EXPECT_NE(EngineSupportDiagnostic("race", wide, race)
+                .find("race contender engine 'pdpso'"),
+            std::string::npos);
+  EXPECT_THROW(RequireEngineSupports("race", wide, race),
+               std::invalid_argument);
+  EXPECT_TRUE(EngineSupportsInstance("race", small, race));
 }
 
 TEST(EngineRegistry, AdapterIsDeterministicPerSeed) {

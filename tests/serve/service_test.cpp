@@ -128,6 +128,48 @@ TEST(SolverService, InstanceExactlyAtTheCostBoundSolves) {
   }
 }
 
+TEST(SolverService, DeviceEngineBeyondThePackedKeyRangeRejected) {
+  // The at-the-bound instance above passes Instance::Validate, but its
+  // cost bound is far past the device engines' packed (cost, thread) key
+  // range: psa, pdpso, psa-sync and a race pinning one of them are
+  // rejected synchronously with the typed diagnostic, never queued.
+  const Instance wide(Problem::kCdd, /*d=*/(Time{1} << 31) - 13, {5, 3, 4},
+                      {715827883, 1, 2}, {7, 715827883, 1});
+  ASSERT_TRUE(ValidateRequestInstance(wide).empty());
+  SolverService service(ServiceConfig{.workers = 1});
+  std::uint64_t id = 30;
+  for (const char* engine : {"psa", "pdpso", "psa-sync", "race"}) {
+    SolveRequest request;
+    request.id = id++;
+    request.instance = wide;
+    request.engine = engine;
+    request.options.generations = 10;
+    request.options.portfolio = "sa,psa-sync";
+    std::future<SolveResponse> future = service.Submit(std::move(request));
+    ASSERT_EQ(future.wait_for(milliseconds(0)), std::future_status::ready)
+        << engine;
+    const SolveResponse response = future.get();
+    EXPECT_EQ(response.status, SolveStatus::kRejectedInvalidInstance)
+        << engine;
+    EXPECT_NE(response.error.find("packed reduction key range"),
+              std::string::npos)
+        << response.error;
+  }
+  EXPECT_EQ(
+      service.metrics().counter("rejected_invalid_instance").value(), 4u);
+
+  // A race of serial contenders still solves it.
+  SolveRequest serial;
+  serial.id = id;
+  serial.instance = wide;
+  serial.engine = "race";
+  serial.options.generations = 50;
+  serial.options.portfolio = "sa,ta";
+  const SolveResponse response = service.Submit(std::move(serial)).get();
+  ASSERT_EQ(response.status, SolveStatus::kOk) << response.error;
+  EXPECT_EQ(response.result.best_cost, BruteForceCdd(wide).cost);
+}
+
 TEST(SolverService, VariantInstanceWithUnsupportedEngineRejected) {
   // Pairing a parallel-machine or early-work instance with an engine
   // outside the support matrix (docs/WORKLOADS.md) is rejected

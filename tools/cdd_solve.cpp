@@ -160,8 +160,10 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << diagnostic << "\n";
       return 1;
     }
+    serve::EngineOptions pinned;  // a race's --portfolio, for the check
+    pinned.portfolio = args.GetString("portfolio", "");
     if (const std::string diagnostic =
-            serve::EngineSupportDiagnostic(algo, instance);
+            serve::EngineSupportDiagnostic(algo, instance, pinned);
         !diagnostic.empty()) {
       std::cerr << "error: " << diagnostic << "\n";
       return 1;
